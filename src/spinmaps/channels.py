@@ -14,6 +14,8 @@ from .register import (
     RegisterError,
     RegisterLayout,
     apply_local_kraus,
+    embed_operator,
+    kron_product,
     qubit_operator,
 )
 
@@ -147,14 +149,9 @@ def depolarizing_channel(layout: RegisterLayout, ions: tuple[int, ...]) -> Chann
             raise ChannelError("depolarizing channel defined on qubit ions only")
     paulis = [np.eye(2, dtype=complex)] + [qubit_operator(ax) for ax in "xyz"]
     ops = []
-    for combo in product(range(4), repeat=len(ions)):
-        full = np.array([[0.5 ** len(ions)]], dtype=complex)
-        for ion, d in enumerate(layout.ion_dims):
-            if ion in ions:
-                full = np.kron(full, paulis[combo[ions.index(ion)]])
-            else:
-                full = np.kron(full, np.eye(d, dtype=complex))
-        ops.append(full)
+    for combo in product(paulis, repeat=len(ions)):
+        local = kron_product(combo, 0.5 ** len(ions))
+        ops.append(embed_operator(local, ions, layout.ion_dims))
     return Channel(layout, tuple(ops), f"depolarize{ions}")
 
 
@@ -180,13 +177,11 @@ def reset_channel(
     dim = layout.ion_dims[ion]
     if not 0 <= target_level < dim:
         raise ChannelError(f"target level {target_level} out of range")
-    ops = []
-    for local in pump_kraus_ops(dim, target_level):
-        full = np.array([[1.0]], dtype=complex)
-        for j, d in enumerate(layout.ion_dims):
-            full = np.kron(full, local if j == ion else np.eye(d, dtype=complex))
-        ops.append(full)
-    return Channel(layout, tuple(ops), f"reset({ion}->{target_level})")
+    ops = tuple(
+        embed_operator(local, (ion,), layout.ion_dims)
+        for local in pump_kraus_ops(dim, target_level)
+    )
+    return Channel(layout, ops, f"reset({ion}->{target_level})")
 
 
 def reset_ancilla(
@@ -236,13 +231,11 @@ def park_channel(layout: RegisterLayout, ion: int, source_level: int) -> Channel
     """Channel form of :func:`park_from` (for Choi-level idempotence checks)."""
     if layout.ion_dims[ion] != 3:
         raise ChannelError("parking requires a qutrit ancilla")
-    ops = []
-    for local in park_kraus_ops(source_level):
-        full = np.array([[1.0]], dtype=complex)
-        for j, d in enumerate(layout.ion_dims):
-            full = np.kron(full, local if j == ion else np.eye(d, dtype=complex))
-        ops.append(full)
-    return Channel(layout, tuple(ops), f"park({ion}, from {source_level})")
+    ops = tuple(
+        embed_operator(local, (ion,), layout.ion_dims)
+        for local in park_kraus_ops(source_level)
+    )
+    return Channel(layout, ops, f"park({ion}, from {source_level})")
 
 
 def choi(channel: Channel) -> ChoiMatrix:

@@ -16,7 +16,8 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import permutations
 from math import pi
 from pathlib import Path
@@ -45,6 +46,7 @@ from .maps import (
 )
 from .observables import (
     ObservableReport,
+    analytic_dicke_order,
     dicke_fidelity,
     dicke_state,
     offdiag_order,
@@ -323,7 +325,10 @@ def initial_state(config: RunConfig) -> DensityOperator:
     layout = qubit_register(config.n)
     spec = config.initial.strip()
     if spec.startswith("file:"):
-        return load_state(Path(spec[5:]))
+        rho = load_state(Path(spec[5:]))
+        if rho.layout != layout:
+            raise ConfigError(f"state file holds {rho.layout}, expected {layout}")
+        return rho
     if spec in ("equal", "equal-superposition"):
         vec = np.full(layout.dim, 1.0 / np.sqrt(layout.dim), dtype=complex)
         return PureState(layout, vec).density()
@@ -362,16 +367,22 @@ def dump_state(rho: DensityOperator, path: Path) -> None:
 
 
 def load_state(path: Path) -> DensityOperator:
+    """Read a :func:`dump_state` file; any defect in it raises :class:`ConfigError`."""
     if not path.exists():
         raise ConfigError(f"state file {path} does not exist")
-    payload = json.loads(path.read_text())
-    layout = RegisterLayout(
-        tuple(payload["layout"]["ion_dims"]), payload["layout"]["ancilla_index"]
-    )
-    entries = np.array(
-        [complex(re, im) for re, im in payload["matrix"]], dtype=complex
-    )
-    return DensityOperator(layout, entries.reshape(layout.dim, layout.dim))
+    try:
+        payload = json.loads(path.read_text())
+        layout = RegisterLayout(
+            tuple(payload["layout"]["ion_dims"]), payload["layout"]["ancilla_index"]
+        )
+        entries = np.array(
+            [complex(re, im) for re, im in payload["matrix"]], dtype=complex
+        )
+        return DensityOperator(layout, entries.reshape(layout.dim, layout.dim))
+    except KeyError as exc:
+        raise ConfigError(f"state file {path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"state file {path}: {exc}") from None
 
 
 # --- run ---------------------------------------------------------------------
@@ -512,18 +523,7 @@ def run_to_files(
         for r, state in zip(reports, states):
             name = f"{stem}_state_{r.step:04d}.json"
             dump_state(state, out_dir / name)
-            dumped.append(
-                ObservableReport(
-                    step=r.step,
-                    label=r.label,
-                    dicke_fidelity=r.dicke_fidelity,
-                    purity=r.purity,
-                    populations=r.populations,
-                    offdiag=r.offdiag,
-                    success_prob=r.success_prob,
-                    state_dump=name,
-                )
-            )
+            dumped.append(replace(r, state_dump=name))
         reports = dumped
     csv_path = out_dir / f"{stem}.csv"
     csv_path.write_text(reports_to_csv(reports, config))
@@ -550,16 +550,12 @@ def run_to_files(
 # --- sequence verification ---------------------------------------------------
 
 
-def _z_frame(angles: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    out = np.array([[1.0]], dtype=complex)
-    for a, d in zip(angles, dims):
-        block = np.diag([np.exp(1j * a / 2), np.exp(-1j * a / 2)]).astype(complex)
-        if d == 3:
-            full = np.eye(3, dtype=complex)
-            full[:2, :2] = block
-            block = full
-        out = np.kron(out, block)
-    return out
+def _z_frame(angles: np.ndarray) -> np.ndarray:
+    """Product of per-qubit z rotations exp(-i a/2 sigma^z), built on the diagonal."""
+    phases = np.array([1.0], dtype=complex)
+    for a in angles:
+        phases = np.kron(phases, [np.exp(1j * a / 2), np.exp(-1j * a / 2)])
+    return np.diag(phases)
 
 
 def _permutation_matrix(layout: RegisterLayout, perm: tuple[int, ...]) -> np.ndarray:
@@ -580,10 +576,9 @@ def _unitary_frame_fidelity(
 ) -> float:
     """Best |Tr(T^dag Z_out U Z_in)|^2 / d^2 over per-ion z frames."""
     d = u_seq.shape[0]
-    dims = (2,) * n_ions
 
     def neg(x: np.ndarray) -> float:
-        v = _z_frame(x[n_ions:], dims) @ u_seq @ _z_frame(x[:n_ions], dims)
+        v = _z_frame(x[n_ions:]) @ u_seq @ _z_frame(x[:n_ions])
         return -((np.abs(np.trace(target.conj().T @ v)) / d) ** 2)
 
     best = -neg(np.zeros(2 * n_ions))
@@ -611,35 +606,22 @@ def _flip_flop_target() -> np.ndarray:
     return u
 
 
+def _verify_unitary(seq: PulseSequence, target: np.ndarray, label: str) -> dict:
+    """Best frame fidelity of a 3-qubit table against ``target`` over ion roles."""
+    layout = qubit_register(3)
+    best = 0.0
+    best_perm = None
+    for perm in permutations(range(3)):
+        p = _permutation_matrix(layout, perm)
+        u = p.T @ sequence_unitary(seq, layout) @ p
+        f = _unitary_frame_fidelity(u, target, 3, restarts=2)
+        if f > best:
+            best, best_perm = f, perm
+    return {"target": label, "fidelity": best, "ion_permutation": list(best_perm)}
+
+
 def _verify_swap(seq: PulseSequence) -> dict:
-    layout = qubit_register(3)
-    target = _flip_flop_target()
-    best = 0.0
-    best_perm = None
-    for perm in permutations(range(3)):
-        p = _permutation_matrix(layout, perm)
-        u = p.T @ sequence_unitary(seq, layout) @ p
-        f = _unitary_frame_fidelity(u, target, 3, restarts=2)
-        if f > best:
-            best, best_perm = f, perm
-    return {"target": "flip-flop swap on (ancilla, site 1)", "fidelity": best,
-            "ion_permutation": list(best_perm)}
-
-
-def _verify_hamiltonian_3spin(seq: PulseSequence) -> dict:
-    layout = qubit_register(3)
-    h = interaction_hamiltonian(3)
-    target = np.diag(np.exp(-1j * (pi / 2) * np.diag(h)))
-    best = 0.0
-    best_perm = None
-    for perm in permutations(range(3)):
-        p = _permutation_matrix(layout, perm)
-        u = p.T @ sequence_unitary(seq, layout) @ p
-        f = _unitary_frame_fidelity(u, target, 3, restarts=2)
-        if f > best:
-            best, best_perm = f, perm
-    return {"target": "composite Hamiltonian map, phi = pi/2", "fidelity": best,
-            "ion_permutation": list(best_perm)}
+    return _verify_unitary(seq, _flip_flop_target(), "flip-flop swap on (ancilla, site 1)")
 
 
 def _reduced_channel(
@@ -676,8 +658,8 @@ def _verify_single_map(seq: PulseSequence) -> dict:
                 base = _reduced_channel(u_seq, ancilla, prep, pair_order)
 
                 def neg(x: np.ndarray) -> float:
-                    zin = _z_frame(x[:2], (2, 2))
-                    zout = _z_frame(x[2:], (2, 2))
+                    zin = _z_frame(x[:2])
+                    zout = _z_frame(x[2:])
                     ops = tuple(zout @ k @ zin for k in base.kraus_ops)
                     return -process_fidelity(choi(Channel(pair2, ops)), ideal)
 
@@ -701,7 +683,11 @@ def _verify_single_map(seq: PulseSequence) -> dict:
 
 _TARGET_CHECKS = {
     "swap": _verify_swap,
-    "hamiltonian_3spin": _verify_hamiltonian_3spin,
+    "hamiltonian_3spin": partial(
+        _verify_unitary,
+        target=np.diag(np.exp(-1j * (pi / 2) * np.diag(interaction_hamiltonian(3)))),
+        label="composite Hamiltonian map, phi = pi/2",
+    ),
     "single_dissipative_map": _verify_single_map,
 }
 
@@ -758,7 +744,7 @@ def analytics_order_table(max_n: int) -> str:
     lines = ["  N   m   dicke_order      mixture_order    s_plus_s_minus"]
     for n in range(2, max_n + 1):
         for m in range(n + 1):
-            order = (m / n) * (1 - m / n) / (1 - 1 / n)
+            order = analytic_dicke_order(m, n)
             lines.append(
                 f"{n:3d} {m:3d}   {order:<16.12g} {0.25:<16.12g} {m * (n + 1 - m):<16.12g}"
             )

@@ -23,6 +23,9 @@ from .register import (
     RegisterError,
     RegisterLayout,
     embed,
+    embed_operator,
+    kron_product,
+    lift_qubit_operator,
     qubit_operator,
 )
 
@@ -78,21 +81,6 @@ def _axis_matrix(phi: float) -> np.ndarray:
     return cos(phi * pi) * qubit_operator("x") + sin(phi * pi) * qubit_operator("y")
 
 
-def _lift(op2: np.ndarray, dim: int, unitary_on_rest: bool) -> np.ndarray:
-    """Lift a 2x2 gate to an ion of dimension 2 or 3.
-
-    ``unitary_on_rest`` keeps the parking level untouched (exponentials of
-    generators that annihilate |2>); otherwise the lift annihilates |2>.
-    """
-    if dim == 2:
-        return op2
-    out = np.zeros((3, 3), dtype=complex)
-    out[:2, :2] = op2
-    if unitary_on_rest:
-        out[2, 2] = 1.0
-    return out
-
-
 def _resolve_mask(layout: RegisterLayout, mask: frozenset[int] | None) -> list[int]:
     ions = sorted(mask) if mask is not None else list(range(layout.n_ions))
     for i in ions:
@@ -111,11 +99,9 @@ def rotation_unitary(
     ions = _resolve_mask(layout, active_mask)
     half = theta * pi / 2.0
     u2 = cos(half) * np.eye(2) - 1j * sin(half) * _axis_matrix(phi)
-    out = np.array([[1.0]], dtype=complex)
-    for ion, d in enumerate(layout.ion_dims):
-        factor = _lift(u2, d, unitary_on_rest=True) if ion in ions else np.eye(d)
-        out = np.kron(out, factor)
-    return out
+    dims = layout.ion_dims
+    local = kron_product([lift_qubit_operator(u2, dims[i], keep_parking=True) for i in ions])
+    return embed_operator(local, ions, dims)
 
 
 def sz_unitary(layout: RegisterLayout, theta: float, ion: int) -> np.ndarray:
@@ -124,11 +110,8 @@ def sz_unitary(layout: RegisterLayout, theta: float, ion: int) -> np.ndarray:
         raise RegisterError(f"ion {ion} out of range")
     half = theta * pi / 2.0
     u2 = np.diag([np.exp(1j * half), np.exp(-1j * half)])
-    out = np.array([[1.0]], dtype=complex)
-    for j, d in enumerate(layout.ion_dims):
-        factor = _lift(u2, d, unitary_on_rest=True) if j == ion else np.eye(d)
-        out = np.kron(out, factor)
-    return out
+    local = lift_qubit_operator(u2, layout.ion_dims[ion], keep_parking=True)
+    return embed_operator(local, (ion,), layout.ion_dims)
 
 
 def collective_spin(
@@ -140,11 +123,8 @@ def collective_spin(
     total = np.zeros((d, d), dtype=complex)
     axis = _axis_matrix(phi)
     for ion in ions:
-        term = np.array([[1.0]], dtype=complex)
-        for j, dj in enumerate(layout.ion_dims):
-            factor = _lift(axis, dj, unitary_on_rest=False) if j == ion else np.eye(dj)
-            term = np.kron(term, factor)
-        total += term
+        local = lift_qubit_operator(axis, layout.ion_dims[ion])
+        total += embed_operator(local, (ion,), layout.ion_dims)
     return total
 
 

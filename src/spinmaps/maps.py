@@ -100,10 +100,7 @@ def jump_operator(i: int, n: int) -> np.ndarray:
     Normalized so that c_i maps the (i, i+1) singlet exactly onto the
     triplet m_S = 0 state (norm-1 image).
     """
-    a, _ = _sites_to_ions(i, n)
-    left = np.eye(2**a, dtype=complex)
-    right = np.eye(2 ** (n - a - 2), dtype=complex)
-    return np.kron(np.kron(left, pair_jump_operator()), right)
+    return embed_operator(pair_jump_operator(), _sites_to_ions(i, n), (2,) * n)
 
 
 def dissipative_kraus(theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -197,7 +194,9 @@ def elementary_hamiltonian_map(phi: float, epsilon_coh: float = 0.0) -> Channel:
     return mix([ideal, noise], [1.0 - epsilon_coh, epsilon_coh])
 
 
-_MATERIALIZE_LIMIT = 6
+# A noisy pair map has 17 Kraus operators, so the materialized composite map
+# has 17**pairs of them: 4,913 at three pairs, 83,521 at four.
+_MATERIALIZE_MAX_PAIRS = 3
 
 
 def hamiltonian_map(spec: HamiltonianMapSpec, n: int, periodic: bool = False) -> Channel:
@@ -205,7 +204,7 @@ def hamiltonian_map(spec: HamiltonianMapSpec, n: int, periodic: bool = False) ->
 
     Ideal case: the unitary exp(-i phi H), diagonal in the computational
     basis.  With noise the per-pair wrapped maps are composed, which
-    materializes their Kraus products; this is intended for desk-scale N
+    materializes their Kraus products, so it is limited to three pairs
     (the schedule runner applies pairs sequentially instead).
     """
     layout = qubit_register(n)
@@ -213,14 +212,14 @@ def hamiltonian_map(spec: HamiltonianMapSpec, n: int, periodic: bool = False) ->
         h = interaction_hamiltonian(n, periodic)
         u = np.diag(np.exp(-1j * spec.phi * np.diag(h)))
         return unitary_channel(layout, u, f"U(phi={spec.phi:g})")
-    if n > _MATERIALIZE_LIMIT:
+    pairs = _sweep_sites(n, periodic)
+    if len(pairs) > _MATERIALIZE_MAX_PAIRS:
         raise ChannelError(
-            f"materializing the noisy composite map above N={_MATERIALIZE_LIMIT} "
-            "is not supported; apply composite_map instead"
+            f"materializing the noisy composite map over {len(pairs)} pairs (more than "
+            f"{_MATERIALIZE_MAX_PAIRS}) is not supported; apply composite_map instead"
         )
     pair = elementary_hamiltonian_map(spec.phi, spec.epsilon_coh)
     kraus: list[np.ndarray] = [np.eye(layout.dim, dtype=complex)]
-    pairs = range(1, n + 1 if periodic else n)
     for i in pairs:
         ions = _sites_to_ions(i, n, periodic)
         stage = [embed_operator(k, ions, layout.ion_dims) for k in pair.kraus_ops]
@@ -242,6 +241,18 @@ def _cached_hamiltonian_kraus(phi: float, epsilon_coh: float) -> tuple[np.ndarra
     return elementary_hamiltonian_map(phi, epsilon_coh).kraus_ops
 
 
+def _pair_sweep(
+    rho: DensityOperator, kraus: tuple[np.ndarray, ...], periodic: bool
+) -> DensityOperator:
+    """Apply one pair Kraus set on every sweep pair in order, then re-Hermitize."""
+    n = rho.layout.n_ions
+    mat = rho.matrix
+    for site in _sweep_sites(n, periodic):
+        ions = _sites_to_ions(site, n, periodic)
+        mat = apply_local_kraus(mat, kraus, ions, rho.layout.ion_dims)
+    return DensityOperator(rho.layout, 0.5 * (mat + mat.conj().T))
+
+
 def apply_dissipative_map(rho: DensityOperator, spec: DissipativeMapSpec, periodic: bool = False) -> DensityOperator:
     """Apply D_{i,i+1} to a register state (local Kraus application)."""
     n = rho.layout.n_ions
@@ -258,16 +269,9 @@ def composite_dissipative_sweep(
     periodic: bool = False,
 ) -> DensityOperator:
     """Apply the elementary maps D_{1,2}, ..., D_{N-1,N} left to right."""
-    n = rho.layout.n_ions
-    if n < 2:
+    if rho.layout.n_ions < 2:
         raise RegisterError("sweep needs at least two spins")
-    dims = rho.layout.ion_dims
-    mat = rho.matrix
-    kraus = _cached_dissipative_kraus(theta, epsilon)
-    for site in _sweep_sites(n, periodic):
-        mat = apply_local_kraus(mat, kraus, _sites_to_ions(site, n, periodic), dims)
-    mat = 0.5 * (mat + mat.conj().T)
-    return DensityOperator(rho.layout, mat)
+    return _pair_sweep(rho, _cached_dissipative_kraus(theta, epsilon), periodic)
 
 
 def apply_hamiltonian_map(
@@ -281,14 +285,7 @@ def apply_hamiltonian_map(
     With epsilon_coh = 0 this equals conjugation by the global diagonal
     unitary exp(-i phi H) since the elementary maps commute.
     """
-    n = rho.layout.n_ions
-    dims = rho.layout.ion_dims
-    mat = rho.matrix
-    kraus = _cached_hamiltonian_kraus(phi, epsilon_coh)
-    for site in _sweep_sites(n, periodic):
-        mat = apply_local_kraus(mat, kraus, _sites_to_ions(site, n, periodic), dims)
-    mat = 0.5 * (mat + mat.conj().T)
-    return DensityOperator(rho.layout, mat)
+    return _pair_sweep(rho, _cached_hamiltonian_kraus(phi, epsilon_coh), periodic)
 
 
 def composite_map(

@@ -23,7 +23,6 @@ from .register import (
     RegisterError,
     RegisterLayout,
     apply_local_kraus,
-    apply_local_operator,
 )
 
 PROJECTOR_MAX_N = 12
@@ -87,10 +86,6 @@ def build_projector(m: int, n: int) -> SubspaceProjector:
     counts = _excitation_numbers(n)
     diag = (counts == m).astype(float)
     return SubspaceProjector(n, m, tuple(float(a) for a in alphas), np.diag(diag))
-
-
-def _excitation_flags(n: int, predicate) -> np.ndarray:
-    return predicate(_excitation_numbers(n))
 
 
 def qnd_unitary(m0: int, n: int) -> np.ndarray:
@@ -195,13 +190,13 @@ def _stabilize_half(
     if not removing:
         # pi-pulse exchanging the ancilla's computational states switches the
         # extraction circuit into the injection one
-        mat = apply_local_operator(mat, _ANCILLA_PI, (0,), dims)
+        mat = apply_local_kraus(mat, (_ANCILLA_PI,), (0,), dims)
     mat = _detector_conjugate(mat, n, flags)
     park = park_kraus_ops(park_level)
     mat = apply_local_kraus(mat, park, (0,), dims)
     swap = _swap_gate()
     for site in _cascade_sites(n, m0, removing):
-        mat = apply_local_operator(mat, swap, (0, site), dims)
+        mat = apply_local_kraus(mat, (swap,), (0, site), dims)
         mat = apply_local_kraus(mat, park, (0,), dims)
     mat = apply_local_kraus(mat, pump_kraus_ops(3, 1), (0,), dims)
     mat = 0.5 * (mat + mat.conj().T)

@@ -6,14 +6,19 @@ Conventions used throughout the package:
   number built from the per-ion occupations, ion 0 most significant.
 * The qubit levels are ``|0> = down`` and ``|1> = up``; ``|1>`` is the spin
   excitation.  Hence ``sigma_z = |1><1| - |0><0| = diag(-1, +1)``.
-* A qutrit ion carries the extra "parking" level ``|2>``.  Qubit operators
-  embedded into a qutrit act on span{|0>, |1>} and annihilate ``|2>``;
-  identity factors keep ``|2>`` untouched.
+* A qutrit ion carries the extra "parking" level ``|2>``.  2x2 operators
+  are lifted into a qutrit by :func:`lift_qubit_operator`: they act on
+  span{|0>, |1>} and annihilate ``|2>``, except gate unitaries, which keep
+  it; identity factors keep ``|2>`` untouched.
+* :func:`embed_operator` is the one embedder of a local operator into the
+  register and :func:`apply_local_kraus` the one local apply path; a
+  unitary ``U`` is applied as the Kraus set ``(U,)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -50,10 +55,19 @@ def qubit_operator(axis: str) -> np.ndarray:
         raise RegisterError(f"unknown Pauli axis {axis!r}") from None
 
 
-def _embed_qutrit(op2: np.ndarray) -> np.ndarray:
-    """Lift a 2x2 qubit operator to a qutrit: act on {|0>,|1>}, kill |2>."""
+def lift_qubit_operator(op2: np.ndarray, dim: int, keep_parking: bool = False) -> np.ndarray:
+    """Lift a 2x2 operator to an ion of dimension 2 or 3.
+
+    On a qutrit the result acts on {|0>, |1>}; ``keep_parking`` leaves the
+    parking level |2> untouched (exponentials of generators that annihilate
+    |2>), otherwise |2> is annihilated.
+    """
+    if dim == 2:
+        return op2
     out = np.zeros((3, 3), dtype=complex)
     out[:2, :2] = op2
+    if keep_parking:
+        out[2, 2] = 1.0
     return out
 
 
@@ -257,15 +271,14 @@ def embed(op: PauliString, layout: RegisterLayout) -> np.ndarray:
     for ion, _ in op.factors:
         if not 0 <= ion < layout.n_ions:
             raise RegisterError(f"ion {ion} out of range")
-    out = np.array([[op.coefficient]], dtype=complex)
-    for ion, d in enumerate(layout.ion_dims):
-        ax = op.axis_on(ion)
-        if ax is None:
-            factor = np.eye(d, dtype=complex)
-        else:
-            factor = _SIGMA[ax] if d == 2 else _embed_qutrit(_SIGMA[ax])
-        out = np.kron(out, factor)
-    return out
+    dims = layout.ion_dims
+    lifted = [lift_qubit_operator(_SIGMA[ax], dims[ion]) for ion, ax in op.factors]
+    return embed_operator(kron_product(lifted, op.coefficient), op.ions(), dims)
+
+
+def kron_product(mats: Iterable[np.ndarray], coefficient: complex = 1.0) -> np.ndarray:
+    """``coefficient * mats[0] (x) mats[1] (x) ...``; ``[[coefficient]]`` if empty."""
+    return reduce(np.kron, mats, np.array([[coefficient]], dtype=complex))
 
 
 def _moved_axes(n: int, sites: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -276,45 +289,23 @@ def _moved_axes(n: int, sites: Sequence[int]) -> tuple[list[int], list[int]]:
     return ket, bra
 
 
-def apply_local_operator(
-    rho_mat: np.ndarray,
-    op: np.ndarray,
-    sites: Sequence[int],
-    dims: Sequence[int],
-    op_right: np.ndarray | None = None,
-) -> np.ndarray:
-    """Compute ``A rho B`` where A acts on ``sites`` only (B defaults to A^dag).
-
-    Works on raw matrices so intermediate steps of composite maps avoid
-    re-validating the state after every factor.
-    """
-    n = len(dims)
-    dims = tuple(dims)
-    d_loc = int(np.prod([dims[s] for s in sites]))
-    rest = [i for i in range(n) if i not in sites]
-    d_rest = int(np.prod([dims[i] for i in rest])) if rest else 1
-    ket, bra = _moved_axes(n, sites)
-    perm = ket + bra
-    t = rho_mat.reshape(dims + dims).transpose(perm).reshape(d_loc, d_rest, d_loc, d_rest)
-    right = op.conj().T if op_right is None else op_right
-    t = np.einsum("ab,bicj,cd->aidj", op, t, right, optimize=True)
-    t = t.reshape([dims[i] for i in ket] + [dims[i] for i in ket])
-    inv = np.argsort(perm)
-    d = int(np.prod(dims))
-    return t.transpose(inv).reshape(d, d)
-
-
 def embed_operator(
     op: np.ndarray, sites: Sequence[int], dims: Sequence[int]
 ) -> np.ndarray:
-    """Dense embedding of a local operator at ``sites`` (identity elsewhere)."""
+    """Dense embedding of a local operator at ``sites`` (identity elsewhere).
+
+    ``op`` is indexed in the order of ``sites``, which need be neither sorted
+    nor contiguous.
+    """
+    dims = tuple(dims)
     d = int(np.prod(dims))
     d_loc = int(np.prod([dims[s] for s in sites]))
     if op.shape != (d_loc, d_loc):
         raise RegisterError(f"operator shape {op.shape} does not fit sites {sites}")
-    return apply_local_operator(
-        np.eye(d, dtype=complex), op, sites, dims, op_right=np.eye(d_loc, dtype=complex)
-    )
+    ket, bra = _moved_axes(len(dims), sites)
+    full = np.kron(op, np.eye(d // d_loc, dtype=complex))
+    t = full.reshape([dims[i] for i in ket] * 2)
+    return t.transpose(np.argsort(ket + bra)).reshape(d, d)
 
 
 def apply_local_kraus(
@@ -329,23 +320,18 @@ def apply_local_kraus(
     factor, so the full state is permuted only once per channel
     application.
     """
-    n = len(dims)
     dims = tuple(dims)
-    sites = list(sites)
+    d = int(np.prod(dims))
     d_loc = int(np.prod([dims[s] for s in sites]))
-    rest = [i for i in range(n) if i not in sites]
-    d_rest = int(np.prod([dims[i] for i in rest])) if rest else 1
-    ket, _ = _moved_axes(n, sites)
-    perm = ket + [n + i for i in ket]
+    d_rest = d // d_loc
+    ket, bra = _moved_axes(len(dims), sites)
+    perm = ket + bra
     t = rho_mat.reshape(dims + dims).transpose(perm)
     t = t.reshape(d_loc, d_rest, d_loc, d_rest).transpose(0, 2, 1, 3)
     t = t.reshape(d_loc * d_loc, d_rest * d_rest)
-    superop = np.zeros((d_loc * d_loc, d_loc * d_loc), dtype=complex)
-    for k in kraus:
-        superop += np.kron(k, k.conj())
+    superop = sum(np.kron(k, k.conj()) for k in kraus)
     t = (superop @ t).reshape(d_loc, d_loc, d_rest, d_rest).transpose(0, 2, 1, 3)
-    t = t.reshape([dims[i] for i in ket] + [dims[i] for i in ket])
-    d = int(np.prod(dims))
+    t = t.reshape([dims[i] for i in ket] * 2)
     return t.transpose(np.argsort(perm)).reshape(d, d)
 
 

@@ -272,3 +272,53 @@ class TestOutKey:
         assert main(["run", str(cfg), "--out", str(tmp_path / "flag")]) == 0
         assert (tmp_path / "flag" / "pump.csv").exists()
         assert not (tmp_path / "ignored").exists()
+
+
+class TestStateFileBoundary:
+    """Bad ``initial = file:`` states are configuration errors (exit 2)."""
+
+    def run_with_state(self, tmp_path, capsys, payload_text, n=3):
+        state = tmp_path / "state.json"
+        state.write_text(payload_text)
+        cfg = tmp_path / "from_file.cfg"
+        cfg.write_text(f"N = {n}\nm0 = 1\ninitial = file:{state}\nschedule {{ SWEEP }}\n")
+        code = main(["run", str(cfg), "--out", str(tmp_path / "out")])
+        return code, capsys.readouterr().err
+
+    def dumped(self, tmp_path, rho):
+        dump_state(rho, tmp_path / "dumped.json")
+        return json.loads((tmp_path / "dumped.json").read_text())
+
+    def test_malformed_json(self, tmp_path, capsys):
+        code, err = self.run_with_state(tmp_path, capsys, '{"layout": {"ion_dims": [2, 2')
+        assert code == 2
+        assert "config error" in err and "state file" in err
+
+    def test_missing_ancilla_index(self, tmp_path, capsys):
+        payload = self.dumped(tmp_path, dicke_state(1, 3).density())
+        del payload["layout"]["ancilla_index"]
+        code, err = self.run_with_state(tmp_path, capsys, json.dumps(payload))
+        assert code == 2
+        assert "ancilla_index" in err
+
+    def test_state_with_more_spins_than_n(self, tmp_path, capsys):
+        payload = self.dumped(tmp_path, dicke_state(1, 4).density())
+        code, err = self.run_with_state(tmp_path, capsys, json.dumps(payload), n=3)
+        assert code == 2
+        assert "config error" in err and "expected" in err
+
+    def test_state_layout_must_be_the_qubit_register(self, tmp_path):
+        payload = self.dumped(tmp_path, dicke_state(1, 3).density())
+        payload["layout"]["ancilla_index"] = 0
+        (tmp_path / "anc.json").write_text(json.dumps(payload))
+        config = RunConfig(n=3, m0=1, initial=f"file:{tmp_path / 'anc.json'}",
+                           schedule=(("SWEEP", None),))
+        with pytest.raises(ConfigError):
+            initial_state(config)
+
+    def test_load_state_rejects_wrong_entry_count(self, tmp_path):
+        payload = self.dumped(tmp_path, dicke_state(1, 3).density())
+        payload["matrix"] = payload["matrix"][:-1]
+        (tmp_path / "short.json").write_text(json.dumps(payload))
+        with pytest.raises(ConfigError):
+            load_state(tmp_path / "short.json")

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from itertools import combinations
 from math import pi
 
-from spinmaps.channels import apply, choi, choi_distance, process_fidelity
+from spinmaps.channels import ChannelError, apply, choi, choi_distance, process_fidelity
 from spinmaps.maps import (
     DissipativeMapSpec,
     HamiltonianMapSpec,
@@ -205,6 +207,31 @@ class TestHamiltonianMap:
             apply_hamiltonian_map(rho, 0.6, 0.1).matrix,
             atol=1e-12,
         )
+
+    def test_noisy_composition_at_the_pair_bound(self):
+        # periodic N = 3 has three pairs: 17**3 Kraus operators, the largest allowed
+        spec = HamiltonianMapSpec(0.6, epsilon_coh=0.1)
+        ch = hamiltonian_map(spec, 3, periodic=True)
+        rho = DensityOperator(qubit_register(3), dm(np.arange(1, 9) + 0.5j))
+        assert np.allclose(
+            apply(ch, rho).matrix,
+            apply_hamiltonian_map(rho, 0.6, 0.1, periodic=True).matrix,
+            atol=1e-12,
+        )
+
+    @pytest.mark.parametrize("n, periodic", [(5, False), (4, True)])
+    def test_noisy_composition_beyond_three_pairs_raises_before_allocating(
+        self, n, periodic
+    ):
+        spec = HamiltonianMapSpec(0.6, epsilon_coh=0.1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ChannelError, match="pairs"):
+                hamiltonian_map(spec, n, periodic)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestCompositeSweep:

@@ -8,11 +8,15 @@ from spinmaps.register import (
     PureState,
     RegisterError,
     RegisterLayout,
+    apply_local_kraus,
     basis_state,
     embed,
+    embed_operator,
     expectation,
+    lift_qubit_operator,
     multiply,
     partial_trace,
+    qubit_operator,
     qubit_register,
     system_with_ancilla,
 )
@@ -203,3 +207,71 @@ class TestStateValidation:
     def test_rejects_unnormalized_vector(self):
         with pytest.raises(RegisterError):
             PureState(qubit_register(1), np.array([1.0, 1.0]))
+
+
+def reference_embed(op, sites, dims):
+    """``op (x) 1_rest`` on the ion order (sites, rest), rows and columns
+    re-indexed into register order by pure index lookup."""
+    order = list(sites) + [i for i in range(len(dims)) if i not in sites]
+    moved = RegisterLayout(tuple(dims[i] for i in order))
+    register = RegisterLayout(tuple(dims))
+    source = np.empty(register.dim, dtype=int)
+    for idx in range(moved.dim):
+        occ = moved.occupation_of(idx)
+        reg_occ = [0] * len(dims)
+        for slot, ion in enumerate(order):
+            reg_occ[ion] = occ[slot]
+        source[register.index_of(reg_occ)] = idx
+    full = np.kron(op, np.eye(moved.dim // op.shape[0], dtype=complex))
+    return full[np.ix_(source, source)]
+
+
+def random_operator(rng, d):
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+def random_density(rng, d, rank=4):
+    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho)
+
+
+class TestEmbedOperatorEquivalence:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_layout_and_unordered_sites(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 6))
+        dims = tuple(int(d) for d in rng.choice([2, 3], n))
+        sites = [int(i) for i in rng.permutation(n)[: int(rng.integers(1, min(3, n) + 1))]]
+        op = random_operator(rng, int(np.prod([dims[s] for s in sites])))
+        assert np.array_equal(embed_operator(op, sites, dims), reference_embed(op, sites, dims))
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 2, 2), (2, 3, 2, 3), (3, 3)])
+    def test_periodic_pair_wraps_around(self, dims):
+        rng = np.random.default_rng(len(dims))
+        sites = (len(dims) - 1, 0)
+        op = random_operator(rng, dims[sites[0]] * dims[sites[1]])
+        assert np.array_equal(embed_operator(op, sites, dims), reference_embed(op, sites, dims))
+
+    def test_rejects_mismatched_operator(self):
+        with pytest.raises(RegisterError):
+            embed_operator(np.eye(4), (0,), (3, 2))
+
+    def test_qutrit_lift_keeps_or_annihilates_parking(self):
+        x = qubit_operator("x")
+        assert np.array_equal(lift_qubit_operator(x, 2), x)
+        assert np.array_equal(lift_qubit_operator(x, 3)[2], np.zeros(3))
+        assert lift_qubit_operator(x, 3, keep_parking=True)[2, 2] == 1.0
+
+
+class TestUnitaryAsKrausEquivalence:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("sites", [(0,), (0, 1), (0, 3), (2, 0), (1, 3)])
+    def test_matches_dense_conjugation_on_stabilization_layout(self, seed, sites):
+        rng = np.random.default_rng(seed)
+        dims = system_with_ancilla(3).ion_dims  # qutrit ancilla + 3 qubit spins
+        rho = random_density(rng, int(np.prod(dims)))
+        q, _ = np.linalg.qr(random_operator(rng, int(np.prod([dims[s] for s in sites]))))
+        e = embed_operator(q, sites, dims)
+        out = apply_local_kraus(rho, (q,), sites, dims)
+        assert np.max(np.abs(out - e @ rho @ e.conj().T)) <= 1e-12
