@@ -14,6 +14,7 @@ from .register import (
     RegisterError,
     RegisterLayout,
     apply_local_kraus,
+    check_sites,
     embed_operator,
     kron_product,
     qubit_operator,
@@ -90,6 +91,7 @@ def apply_embedded(
     channel: Channel, rho: DensityOperator, sites: tuple[int, ...]
 ) -> DensityOperator:
     """Apply a channel supported on a sub-register at the given ion indices."""
+    check_sites(sites, rho.layout.n_ions)
     dims = tuple(channel.layout.ion_dims)
     target = tuple(rho.layout.ion_dims[s] for s in sites)
     if target != dims:
@@ -157,6 +159,8 @@ def depolarizing_channel(layout: RegisterLayout, ions: tuple[int, ...]) -> Chann
 
 def pump_kraus_ops(dim: int, target: int) -> tuple[np.ndarray, ...]:
     """Kraus set pumping every level of a ``dim``-level ion into ``target``."""
+    if not 0 <= target < dim:
+        raise ChannelError(f"target level {target} out of range")
     ops = []
     for k in range(dim):
         op = np.zeros((dim, dim), dtype=complex)
@@ -174,12 +178,9 @@ def reset_channel(
     the parking level is pumped back as well so the reset leaves the ion in a
     known pure state regardless of prior branching.
     """
-    dim = layout.ion_dims[ion]
-    if not 0 <= target_level < dim:
-        raise ChannelError(f"target level {target_level} out of range")
     ops = tuple(
         embed_operator(local, (ion,), layout.ion_dims)
-        for local in pump_kraus_ops(dim, target_level)
+        for local in pump_kraus_ops(layout.ion_dims[ion], target_level)
     )
     return Channel(layout, ops, f"reset({ion}->{target_level})")
 
@@ -219,6 +220,7 @@ def park_from(
     layout = rho.layout
     if source_level not in (0, 1):
         raise ChannelError("source level must be a computational level (0 or 1)")
+    check_sites((ancilla_index,), layout.n_ions)
     if layout.ion_dims[ancilla_index] != 3:
         raise ChannelError("parking requires a qutrit ancilla")
     out = apply_local_kraus(

@@ -26,10 +26,11 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import __version__
-from .channels import Channel, choi, process_fidelity
+from .channels import Channel, ChoiMatrix, choi, process_fidelity
 from .gateset import (
     PulseSequence,
     SequenceSyntaxError,
+    UnitaryModeError,
     min_register_size,
     parse_sequence,
     sequence_channel,
@@ -85,7 +86,8 @@ class InvariantViolation(RuntimeError):
 
 # --- schedule ----------------------------------------------------------------
 
-SIMPLE_TOKENS = ("SWEEP", "D", "U", "QND", "REMOVE", "INJECT", "STAB")
+# Longest flattened schedule; REPEAT blocks are expanded eagerly.
+MAX_SCHEDULE_STEPS = 1_000_000
 
 
 def _tokenize_schedule(text: str) -> list[str]:
@@ -117,6 +119,8 @@ def _parse_items(words: list[str], pos: int, depth: int) -> tuple[list[tuple], i
             if count < 1:
                 raise ConfigError(f"schedule token {pos + 1}: REPEAT count must be >= 1")
             body, pos = _parse_items(words, pos + 3, depth + 1)
+            if len(items) + len(body) * count > MAX_SCHEDULE_STEPS:
+                raise ConfigError(f"schedule exceeds {MAX_SCHEDULE_STEPS} steps")
             items.extend(body * count)
             pos += 1
             continue
@@ -550,50 +554,46 @@ def run_to_files(
 # --- sequence verification ---------------------------------------------------
 
 
-def _z_frame(angles: np.ndarray) -> np.ndarray:
-    """Product of per-qubit z rotations exp(-i a/2 sigma^z), built on the diagonal."""
-    phases = np.array([1.0], dtype=complex)
-    for a in angles:
-        phases = np.kron(phases, [np.exp(1j * a / 2), np.exp(-1j * a / 2)])
-    return np.diag(phases)
+def _z_phases(angles: np.ndarray) -> np.ndarray:
+    """Diagonal of the per-qubit z frame prod_i exp(-i a_i/2 sigma^z_i), ion 0
+    most significant."""
+    n = len(angles)
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    return np.exp(0.5j * (1 - 2 * bits) @ angles)
 
 
-def _permutation_matrix(layout: RegisterLayout, perm: tuple[int, ...]) -> np.ndarray:
-    """Basis permutation sending ion i of the input to slot perm[i]."""
-    dim = layout.dim
-    mat = np.zeros((dim, dim))
-    for idx in range(dim):
-        occ = layout.occupation_of(idx)
-        new_occ = [0] * layout.n_ions
-        for i, slot in enumerate(perm):
-            new_occ[slot] = occ[i]
-        mat[layout.index_of(new_occ), idx] = 1.0
-    return mat
+def _permute_ions(u: np.ndarray, perm) -> np.ndarray:
+    """``P u P^T`` for the qubit basis permutation P sending ion i to slot perm[i]."""
+    n, axes = len(perm), list(np.argsort(perm))
+    return u.reshape((2,) * (2 * n)).transpose(axes + [n + a for a in axes]).reshape(u.shape)
 
 
-def _unitary_frame_fidelity(
-    u_seq: np.ndarray, target: np.ndarray, n_ions: int, restarts: int = 3
-) -> float:
-    """Best |Tr(T^dag Z_out U Z_in)|^2 / d^2 over per-ion z frames."""
-    d = u_seq.shape[0]
-
-    def neg(x: np.ndarray) -> float:
-        v = _z_frame(x[n_ions:]) @ u_seq @ _z_frame(x[:n_ions])
-        return -((np.abs(np.trace(target.conj().T @ v)) / d) ** 2)
-
-    best = -neg(np.zeros(2 * n_ions))
-    for seed in range(restarts):
+def _best_of_starts(neg, n_params: int, options: dict) -> float:
+    """Largest ``-neg`` over the zero frame and Nelder-Mead runs from two
+    seeded random starts, capped at 1."""
+    best = -neg(np.zeros(n_params))
+    for seed in range(2):
         if best > 1.0 - 1e-12:
             break
         rng = np.random.default_rng(seed)
         res = minimize(
-            neg,
-            rng.uniform(-pi, pi, 2 * n_ions),
-            method="Nelder-Mead",
-            options={"maxiter": 3000, "xatol": 1e-12, "fatol": 1e-15},
+            neg, rng.uniform(-pi, pi, n_params), method="Nelder-Mead", options=options
         )
         best = max(best, -res.fun)
     return float(min(best, 1.0))
+
+
+def _unitary_frame_fidelity(u_seq: np.ndarray, target: np.ndarray, n_ions: int) -> float:
+    """Best |Tr(T^dag Z_out U Z_in)|^2 / d^2 over per-ion z frames, evaluated
+    as the bilinear form z_out . (conj(T) * U) . z_in in the frame phases."""
+    d = u_seq.shape[0]
+    form = target.conj() * u_seq
+
+    def neg(x: np.ndarray) -> float:
+        overlap = _z_phases(x[n_ions:]) @ form @ _z_phases(x[:n_ions])
+        return -((np.abs(overlap) / d) ** 2)
+
+    return _best_of_starts(neg, 2 * n_ions, {"maxiter": 3000, "xatol": 1e-12, "fatol": 1e-15})
 
 
 def _flip_flop_target() -> np.ndarray:
@@ -608,13 +608,11 @@ def _flip_flop_target() -> np.ndarray:
 
 def _verify_unitary(seq: PulseSequence, target: np.ndarray, label: str) -> dict:
     """Best frame fidelity of a 3-qubit table against ``target`` over ion roles."""
-    layout = qubit_register(3)
+    u_seq = sequence_unitary(seq, qubit_register(3))
     best = 0.0
     best_perm = None
     for perm in permutations(range(3)):
-        p = _permutation_matrix(layout, perm)
-        u = p.T @ sequence_unitary(seq, layout) @ p
-        f = _unitary_frame_fidelity(u, target, 3, restarts=2)
+        f = _unitary_frame_fidelity(_permute_ions(u_seq, np.argsort(perm)), target, 3)
         if f > best:
             best, best_perm = f, perm
     return {"target": label, "fidelity": best, "ion_permutation": list(best_perm)}
@@ -629,25 +627,24 @@ def _reduced_channel(
 ) -> Channel:
     """System-pair channel of a 3-qubit unitary with the ancilla prepared,
     then reset/traced."""
-    layout = qubit_register(3)
-    perm = [0, 0, 0]
-    perm[ancilla] = 0
-    perm[pair_order[0]] = 1
-    perm[pair_order[1]] = 2
-    p = _permutation_matrix(layout, tuple(perm))
-    v = p @ u @ p.T  # ancilla now ion 0
+    v = _permute_ions(u, np.argsort((ancilla, *pair_order)))  # ancilla now ion 0
     kraus = tuple(v[4 * k : 4 * (k + 1), 4 * prep : 4 * (prep + 1)] for k in range(2))
     return Channel(qubit_register(2), kraus, label="sequence-reduced")
+
+
+def _framed_choi(base: np.ndarray, x: np.ndarray) -> ChoiMatrix:
+    """Choi matrix of K -> Z_out K Z_in from the Choi matrix ``base`` of K: entry (a, b)
+    times w_a conj(w_b), w = z_out (x) z_in, for angles x = (in_0, in_1, out_0, out_1)."""
+    w = _z_phases(np.roll(x, 2))
+    return ChoiMatrix(base * np.outer(w, w.conj()), 4)
 
 
 def _verify_single_map(seq: PulseSequence) -> dict:
     """Diagnostic: best process fidelity of the optimized 19-pulse table
     against the ideal elementary map over ion roles, ancilla preparation and
     z frames (the table's frame conventions are not published)."""
-    layout = qubit_register(3)
-    u_seq = sequence_unitary(seq, layout)
+    u_seq = sequence_unitary(seq, qubit_register(3))
     ideal = choi(elementary_dissipative_map(DissipativeMapSpec(1)))
-    pair2 = qubit_register(2)
 
     best = 0.0
     best_detail = None
@@ -655,24 +652,12 @@ def _verify_single_map(seq: PulseSequence) -> dict:
         others = [i for i in range(3) if i != ancilla]
         for pair_order in (tuple(others), tuple(reversed(others))):
             for prep in (1, 0):
-                base = _reduced_channel(u_seq, ancilla, prep, pair_order)
+                base = choi(_reduced_channel(u_seq, ancilla, prep, pair_order)).matrix
 
                 def neg(x: np.ndarray) -> float:
-                    zin = _z_frame(x[:2])
-                    zout = _z_frame(x[2:])
-                    ops = tuple(zout @ k @ zin for k in base.kraus_ops)
-                    return -process_fidelity(choi(Channel(pair2, ops)), ideal)
+                    return -process_fidelity(_framed_choi(base, x), ideal)
 
-                f = -neg(np.zeros(4))
-                for seed in range(2):
-                    rng = np.random.default_rng(seed)
-                    res = minimize(
-                        neg,
-                        rng.uniform(-pi, pi, 4),
-                        method="Nelder-Mead",
-                        options={"maxiter": 1200, "xatol": 1e-10, "fatol": 1e-12},
-                    )
-                    f = max(f, -res.fun)
+                f = _best_of_starts(neg, 4, {"maxiter": 1200, "xatol": 1e-10, "fatol": 1e-12})
                 if f > best:
                     best = f
                     best_detail = {"ancilla": ancilla, "prep": prep,
@@ -698,7 +683,8 @@ def verify_sequences(directory: str | Path) -> dict:
     Per file: parse status, serialization round-trip, unitarity of the
     interpreted sequence (or CPTP status when resets are present), and the
     best fidelity against a nominal target where one is registered.
-    Parse failures are reported per file and are non-fatal.
+    Parse failures and tables the target check cannot interpret are reported
+    per file and are non-fatal.
     """
     directory = Path(directory)
     entries = []
@@ -731,7 +717,10 @@ def verify_sequences(directory: str | Path) -> dict:
             entry["unitary_ok"] = err <= 1e-12
         check = _TARGET_CHECKS.get(path.stem)
         if check is not None:
-            entry["reference"] = check(seq)
+            try:
+                entry["reference"] = check(seq)
+            except (RegisterError, UnitaryModeError) as exc:
+                entry["error"] = str(exc)
         entries.append(entry)
     return {"directory": str(directory), "files": entries}
 
@@ -793,6 +782,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         extra = ""
         if "reference" in entry:
             extra = f" reference fidelity {entry['reference']['fidelity']:.9f}"
+        elif entry.get("parse_ok") and "error" in entry:
+            extra = f" error: {entry['error']}"
         print(f"{entry['file']}: {status}{extra}")
     print(f"report -> {out_path}")
     return EXIT_OK

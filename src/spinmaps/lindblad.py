@@ -4,7 +4,10 @@ stroboscopic maps.
 The stroboscopic sequence with small pumping angle theta and competition
 angle phi approaches d rho/dt = -i [U H, rho] + kappa L[rho] with one map
 step per unit time, U = phi and kappa = theta^2; the dimensionless
-competition ratio g = U/kappa = phi/theta^2 stays finite in the limit.
+competition ratio g = U/kappa = phi/theta^2 stays finite in the limit.  The
+right-hand side is taken in effective-Hamiltonian form, -i (H_eff rho - rho H_eff^dag)
++ kappa sum_i c_i rho c_i^dag with H_eff = U H - (i kappa/2) sum_i c_i^dag c_i built
+once per integration and each jump applied pair-locally.
 """
 
 from __future__ import annotations
@@ -18,9 +21,10 @@ from .maps import (
     composite_dissipative_sweep,
     apply_hamiltonian_map,
     interaction_hamiltonian,
-    jump_operator,
+    pair_jump_operator,
+    singlet_projector,
 )
-from .register import DensityOperator, RegisterError, qubit_register
+from .register import DensityOperator, RegisterError, apply_local_kraus, embed_operator
 
 STABILITY_BOUND = 0.05
 TRACE_DRIFT_LIMIT = 1e-6
@@ -46,11 +50,13 @@ class MasterEqSpec:
 
 
 def _generators(spec: MasterEqSpec):
-    n = spec.n
-    h = interaction_hamiltonian(n)
-    jumps = [jump_operator(i, n) for i in range(1, n)]
-    cdc = [c.conj().T @ c for c in jumps]
-    return h, jumps, cdc
+    """H_eff = U H - (i kappa/2) sum_i c_i^dag c_i, the jump sqrt(kappa) c, the
+    bonds it acts on (none when kappa = 0) and the register dims."""
+    dims = (2,) * spec.n
+    bonds = [(i - 1, i) for i in range(1, spec.n)] if spec.kappa != 0.0 else []
+    h_eff = spec.u * interaction_hamiltonian(spec.n) - 0.5j * spec.kappa * sum(
+        embed_operator(singlet_projector(), bond, dims) for bond in bonds)  # c^dag c
+    return h_eff, np.sqrt(spec.kappa) * pair_jump_operator(), bonds, dims
 
 
 def liouvillian_apply(rho: DensityOperator, spec: MasterEqSpec) -> np.ndarray:
@@ -58,17 +64,13 @@ def liouvillian_apply(rho: DensityOperator, spec: MasterEqSpec) -> np.ndarray:
 
     Traceless for any input; vanishes on Dicke dark states when U = 0.
     """
-    h, jumps, cdc = _generators(spec)
-    return _rhs(rho.matrix, h, jumps, cdc, spec.u, spec.kappa)
+    return _rhs(rho.matrix, *_generators(spec))
 
 
-def _rhs(mat, h, jumps, cdc, u, kappa) -> np.ndarray:
-    out = np.zeros_like(mat)
-    if u != 0.0:
-        out += -1j * u * (h @ mat - mat @ h)
-    if kappa != 0.0:
-        for c, dd in zip(jumps, cdc):
-            out += kappa * (c @ mat @ c.conj().T - 0.5 * (dd @ mat + mat @ dd))
+def _rhs(mat, h_eff, jump, bonds, dims) -> np.ndarray:
+    out = -1j * (h_eff @ mat - mat @ h_eff.conj().T)
+    for bond in bonds:
+        out += apply_local_kraus(mat, (jump,), bond, dims)
     return out
 
 
@@ -92,14 +94,14 @@ def integrate(
     steps = max(1, int(np.ceil(t_final / dt - 1e-9))) if t_final > 0 else 0
     if steps:
         dt = t_final / steps
-    h, jumps, cdc = _generators(spec)
+    gens = _generators(spec)
     mat = rho0.matrix.copy()
     traj = [rho0]
     for _ in range(steps):
-        k1 = _rhs(mat, h, jumps, cdc, spec.u, spec.kappa)
-        k2 = _rhs(mat + 0.5 * dt * k1, h, jumps, cdc, spec.u, spec.kappa)
-        k3 = _rhs(mat + 0.5 * dt * k2, h, jumps, cdc, spec.u, spec.kappa)
-        k4 = _rhs(mat + dt * k3, h, jumps, cdc, spec.u, spec.kappa)
+        k1 = _rhs(mat, *gens)
+        k2 = _rhs(mat + 0.5 * dt * k1, *gens)
+        k3 = _rhs(mat + 0.5 * dt * k2, *gens)
+        k4 = _rhs(mat + dt * k3, *gens)
         mat = mat + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         mat = 0.5 * (mat + mat.conj().T)
         tr = float(np.real(np.trace(mat)))

@@ -268,9 +268,7 @@ def embed(op: PauliString, layout: RegisterLayout) -> np.ndarray:
     qutrits); involved qutrit ions carry the qubit-block operator that
     annihilates |2>.
     """
-    for ion, _ in op.factors:
-        if not 0 <= ion < layout.n_ions:
-            raise RegisterError(f"ion {ion} out of range")
+    check_sites(op.ions(), layout.n_ions)
     dims = layout.ion_dims
     lifted = [lift_qubit_operator(_SIGMA[ax], dims[ion]) for ion, ax in op.factors]
     return embed_operator(kron_product(lifted, op.coefficient), op.ions(), dims)
@@ -281,8 +279,15 @@ def kron_product(mats: Iterable[np.ndarray], coefficient: complex = 1.0) -> np.n
     return reduce(np.kron, mats, np.array([[coefficient]], dtype=complex))
 
 
+def check_sites(sites: Sequence[int], n: int) -> None:
+    """Raise :class:`RegisterError` unless ``sites`` are distinct ions in ``range(n)``."""
+    if len(set(sites)) != len(sites) or not all(0 <= s < n for s in sites):
+        raise RegisterError(f"sites {tuple(sites)} are not distinct ions of a {n}-ion register")
+
+
 def _moved_axes(n: int, sites: Sequence[int]) -> tuple[list[int], list[int]]:
     """Permutation bringing ket/bra axes of ``sites`` to the front."""
+    check_sites(sites, n)
     rest = [i for i in range(n) if i not in sites]
     ket = list(sites) + rest
     bra = [n + i for i in ket]
@@ -298,11 +303,11 @@ def embed_operator(
     nor contiguous.
     """
     dims = tuple(dims)
+    ket, bra = _moved_axes(len(dims), sites)
     d = int(np.prod(dims))
     d_loc = int(np.prod([dims[s] for s in sites]))
     if op.shape != (d_loc, d_loc):
         raise RegisterError(f"operator shape {op.shape} does not fit sites {sites}")
-    ket, bra = _moved_axes(len(dims), sites)
     full = np.kron(op, np.eye(d // d_loc, dtype=complex))
     t = full.reshape([dims[i] for i in ket] * 2)
     return t.transpose(np.argsort(ket + bra)).reshape(d, d)
@@ -321,10 +326,10 @@ def apply_local_kraus(
     application.
     """
     dims = tuple(dims)
+    ket, bra = _moved_axes(len(dims), sites)
     d = int(np.prod(dims))
     d_loc = int(np.prod([dims[s] for s in sites]))
     d_rest = d // d_loc
-    ket, bra = _moved_axes(len(dims), sites)
     perm = ket + bra
     t = rho_mat.reshape(dims + dims).transpose(perm)
     t = t.reshape(d_loc, d_rest, d_loc, d_rest).transpose(0, 2, 1, 3)

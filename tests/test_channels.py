@@ -275,3 +275,23 @@ class TestMeanStateFidelity:
         ch = elementary_dissipative_map(DissipativeMapSpec(1))
         with pytest.raises(ChannelError):
             mean_state_fidelity(ch, ch, [])
+
+
+from spinmaps.channels import pump_kraus_ops  # noqa: E402
+
+
+class TestResetLevelRange:
+    @pytest.mark.parametrize("level", [-1, 3])
+    def test_reset_ancilla_rejects_level_outside_qutrit(self, level):
+        rho = basis_state(system_with_ancilla(2), [0, 1, 0]).density()
+        with pytest.raises(ChannelError, match="target level"):
+            reset_ancilla(rho, 0, level)
+
+    @pytest.mark.parametrize("dim,level", [(2, -1), (2, 2), (3, -1), (3, 3)])
+    def test_pump_kraus_ops_rejects_level(self, dim, level):
+        with pytest.raises(ChannelError, match="target level"):
+            pump_kraus_ops(dim, level)
+
+    def test_reset_channel_still_rejects_level(self):
+        with pytest.raises(ChannelError, match="target level"):
+            reset_channel(qubit_register(2), 0, target_level=2)

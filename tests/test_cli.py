@@ -322,3 +322,29 @@ class TestStateFileBoundary:
         (tmp_path / "short.json").write_text(json.dumps(payload))
         with pytest.raises(ConfigError):
             load_state(tmp_path / "short.json")
+
+
+from spinmaps.cli import MAX_SCHEDULE_STEPS  # noqa: E402
+
+
+class TestScheduleLengthBound:
+    def test_nested_repeat_over_the_bound_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="exceeds"):
+            parse_schedule("REPEAT 1001 { REPEAT 1000 { SWEEP } }")
+
+    def test_schedule_at_the_bound_is_accepted(self):
+        tokens = parse_schedule("REPEAT 1000 { REPEAT 1000 { SWEEP } }")
+        assert len(tokens) == MAX_SCHEDULE_STEPS
+
+    def test_sibling_blocks_count_toward_the_bound(self):
+        with pytest.raises(ConfigError, match="exceeds"):
+            parse_schedule("REPEAT 600000 { SWEEP }; REPEAT 400001 { SWEEP }")
+
+    def test_run_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(
+            "N = 3\nm0 = 1\ninitial = 100\n"
+            "schedule { REPEAT 1001 { REPEAT 1000 { SWEEP } } }\n"
+        )
+        assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "exceeds" in capsys.readouterr().err

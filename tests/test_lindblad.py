@@ -122,3 +122,29 @@ class TestStroboscopicComparison:
         rho = basis_state(qubit_register(2), [1, 0]).density()
         with pytest.raises(RegisterError):
             compare_stroboscopic(rho, 0.5, 0.0, n_steps=2)
+
+
+from spinmaps.maps import interaction_hamiltonian, jump_operator  # noqa: E402
+
+
+def dense_liouvillian(rho, n, u, kappa):
+    """-i U [H, rho] + kappa sum_i (c rho c^dag - {c^dag c, rho}/2), all dense."""
+    h = interaction_hamiltonian(n)
+    out = -1j * u * (h @ rho - rho @ h)
+    for i in range(1, n):
+        c = jump_operator(i, n)
+        cdc = c.conj().T @ c
+        out += kappa * (c @ rho @ c.conj().T - 0.5 * (cdc @ rho + rho @ cdc))
+    return out
+
+
+class TestEffectiveHamiltonianForm:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("u,kappa", [(0.7, 1.3), (0.0, 0.9), (1.1, 0.0)])
+    def test_matches_dense_jump_reference(self, n, u, kappa):
+        rng = np.random.default_rng(10 * n)
+        vec = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+        rho = DensityOperator(qubit_register(n), dm(vec))
+        deriv = liouvillian_apply(rho, MasterEqSpec(n, u=u, kappa=kappa))
+        expected = dense_liouvillian(rho.matrix, n, u, kappa)
+        assert np.max(np.abs(deriv - expected)) <= 1e-12

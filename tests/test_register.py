@@ -275,3 +275,41 @@ class TestUnitaryAsKrausEquivalence:
         e = embed_operator(q, sites, dims)
         out = apply_local_kraus(rho, (q,), sites, dims)
         assert np.max(np.abs(out - e @ rho @ e.conj().T)) <= 1e-12
+
+
+
+from spinmaps.channels import apply_embedded, park_from, reset_channel  # noqa: E402
+from spinmaps.maps import DissipativeMapSpec, elementary_dissipative_map  # noqa: E402
+
+
+def _local_channel(n_sites):
+    if n_sites == 1:
+        return reset_channel(qubit_register(1), 0)
+    return elementary_dissipative_map(DissipativeMapSpec(1))
+
+
+_SITE_ENTRY_POINTS = {
+    "embed_operator": lambda rho, sites: embed_operator(
+        np.eye(2 ** len(sites)), sites, rho.layout.ion_dims),
+    "apply_local_kraus": lambda rho, sites: apply_local_kraus(
+        rho.matrix, (np.eye(2 ** len(sites)),), sites, rho.layout.ion_dims),
+    "apply_embedded": lambda rho, sites: apply_embedded(
+        _local_channel(len(sites)), rho, sites),
+    "park_from": lambda rho, sites: park_from(rho, *sites, source_level=1),
+}
+
+
+class TestSiteValidation:
+    @pytest.mark.parametrize("entry", sorted(_SITE_ENTRY_POINTS))
+    @pytest.mark.parametrize("site", [-1, -3, 3, 7])
+    def test_negative_or_out_of_range_site(self, entry, site):
+        rho = basis_state(system_with_ancilla(2), [2, 1, 0]).density()
+        with pytest.raises(RegisterError, match="distinct ions"):
+            _SITE_ENTRY_POINTS[entry](rho, (site,))
+
+    @pytest.mark.parametrize("entry", ["embed_operator", "apply_local_kraus", "apply_embedded"])
+    @pytest.mark.parametrize("sites", [(1, 1), (2, 2), (0, 3), (-1, 1)])
+    def test_repeated_or_bad_pair(self, entry, sites):
+        rho = basis_state(qubit_register(3), [1, 0, 1]).density()
+        with pytest.raises(RegisterError, match="distinct ions"):
+            _SITE_ENTRY_POINTS[entry](rho, sites)

@@ -122,3 +122,114 @@ class TestVerifyDirectory:
     def test_empty_directory_gives_empty_report(self, tmp_path):
         report = verify_sequences(tmp_path)
         assert report["files"] == []
+
+
+from itertools import permutations  # noqa: E402
+
+from spinmaps.channels import ChoiMatrix  # noqa: E402
+from spinmaps.cli import (  # noqa: E402
+    _framed_choi,
+    _permute_ions,
+    _reduced_channel,
+    _TARGET_CHECKS,
+    _z_phases,
+    main,
+)
+
+
+def kron_z_frame_diagonal(angles):
+    """Diagonal of prod_i exp(-i a_i/2 sigma^z_i), built factor by factor."""
+    phases = np.array([1.0], dtype=complex)
+    for a in angles:
+        phases = np.kron(phases, [np.exp(1j * a / 2), np.exp(-1j * a / 2)])
+    return phases
+
+
+def permutation_matrix(perm):
+    """Qubit basis permutation sending ion i to slot perm[i], as a 0/1 matrix."""
+    layout = qubit_register(len(perm))
+    mat = np.zeros((layout.dim, layout.dim))
+    for idx in range(layout.dim):
+        occ = layout.occupation_of(idx)
+        new_occ = [0] * len(perm)
+        for i, slot in enumerate(perm):
+            new_occ[slot] = occ[i]
+        mat[layout.index_of(new_occ), idx] = 1.0
+    return mat
+
+
+class TestFrameFitPieces:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_phases_match_kron_built_frame(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            angles = rng.uniform(-pi, pi, n)
+            diff = np.abs(_z_phases(angles) - kron_z_frame_diagonal(angles))
+            assert np.max(diff) <= 1e-15
+
+    @pytest.mark.parametrize("perm", list(permutations(range(3))))
+    def test_ion_transpose_equals_permutation_matrix_bitwise(self, perm):
+        rng = np.random.default_rng(7)
+        u = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        p = permutation_matrix(perm)
+        assert np.array_equal(_permute_ions(u, perm), p @ u @ p.T)
+        assert np.array_equal(_permute_ions(u, np.argsort(perm)), p.T @ u @ p)
+
+    def test_framed_choi_matches_channel_of_framed_kraus(self):
+        seq = parse_sequence((TABLES / "single_dissipative_map.txt").read_text())
+        u = sequence_unitary(seq, qubit_register(3))
+        rng = np.random.default_rng(11)
+        for ancilla, prep, pair_order in [(2, 1, (0, 1)), (0, 0, (2, 1)), (1, 1, (0, 2))]:
+            base = _reduced_channel(u, ancilla, prep, pair_order)
+            for _ in range(5):
+                x = rng.uniform(-pi, pi, 4)
+                z_in = np.diag(kron_z_frame_diagonal(x[:2]))
+                z_out = np.diag(kron_z_frame_diagonal(x[2:]))
+                ops = tuple(z_out @ k @ z_in for k in base.kraus_ops)
+                expected = choi(Channel(qubit_register(2), ops)).matrix
+                framed = _framed_choi(choi(base).matrix, x)
+                assert isinstance(framed, ChoiMatrix)
+                assert np.max(np.abs(framed.matrix - expected)) <= 1e-14
+
+
+class TestPinnedReferenceFits:
+    def test_hamiltonian_3spin_fidelity_and_roles(self):
+        seq = parse_sequence((TABLES / "hamiltonian_3spin.txt").read_text())
+        result = _TARGET_CHECKS["hamiltonian_3spin"](seq)
+        expected = ((1 + np.sqrt(2)) / (2 * np.sqrt(2))) ** 2
+        assert result["fidelity"] == pytest.approx(expected, abs=1e-9)
+        assert result["ion_permutation"] == [0, 1, 2]
+
+    def test_single_map_fit_value_and_assignment(self):
+        seq = parse_sequence((TABLES / "single_dissipative_map.txt").read_text())
+        result = _TARGET_CHECKS["single_dissipative_map"](seq)
+        assert result["fidelity"] == pytest.approx(0.32012160845091414, abs=1e-9)
+        assert result["assignment"] == {"ancilla": 2, "prep": 1, "pair_order": [0, 1]}
+
+
+class TestTargetCheckErrors:
+    def verify_single(self, tmp_path, text):
+        (tmp_path / "swap.txt").write_text(text)
+        report = verify_sequences(tmp_path)
+        (entry,) = report["files"]
+        return entry
+
+    def test_table_too_wide_for_target_register(self, tmp_path):
+        entry = self.verify_single(tmp_path, "S_z(0.5, 5)\n")
+        assert entry["parse_ok"] is True
+        assert "reference" not in entry
+        assert "ion 5" in entry["error"]
+
+    def test_reset_in_unitary_target_table(self, tmp_path):
+        entry = self.verify_single(tmp_path, "RESET(0)\n")
+        assert entry["parse_ok"] is True
+        assert "reference" not in entry
+        assert "no unitary representation" in entry["error"]
+
+    @pytest.mark.parametrize("text", ["S_z(0.5, 5)\n", "RESET(0)\n"])
+    def test_cli_reports_and_exits_zero(self, tmp_path, capsys, text):
+        tables = tmp_path / "tables"
+        tables.mkdir()
+        (tables / "swap.txt").write_text(text)
+        assert main(["verify-sequences", str(tables), "--out", str(tmp_path)]) == 0
+        assert "swap.txt: ok error:" in capsys.readouterr().out
