@@ -47,7 +47,7 @@ class Channel:
                 raise ChannelError(f"Kraus shape {k.shape} does not match dim {d}")
         total = sum(k.conj().T @ k for k in ops)
         err = np.max(np.abs(total - np.eye(d)))
-        if err > COMPLETENESS_TOL:
+        if not err <= COMPLETENESS_TOL:
             raise ChannelError(f"Kraus completeness violated by {err}")
 
     @property
@@ -68,12 +68,12 @@ class ChoiMatrix:
         d2 = self.input_dim**2
         if mat.shape != (d2, d2):
             raise ChannelError(f"Choi shape {mat.shape}, expected {(d2, d2)}")
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-9:
+        if not np.max(np.abs(mat - mat.conj().T)) <= 1e-9:
             raise ChannelError("Choi matrix not Hermitian")
-        if abs(np.trace(mat) - 1.0) > 1e-9:
+        if not abs(np.trace(mat) - 1.0) <= 1e-9:
             raise ChannelError("Choi matrix not unit trace")
         lo = float(np.min(np.linalg.eigvalsh(mat)))
-        if lo < CHOI_PSD_FLOOR:
+        if not lo >= CHOI_PSD_FLOOR:
             raise ChannelError(f"Choi matrix not PSD: min eigenvalue {lo}")
 
 
@@ -146,6 +146,7 @@ def depolarizing_channel(layout: RegisterLayout, ions: tuple[int, ...]) -> Chann
     Single-ion Kraus set {1, X, Y, Z}/2; multiple ions concatenate (the
     two-ion case is the double-depolarizing map used by the noise model).
     """
+    check_sites(ions, layout.n_ions)
     for i in ions:
         if layout.ion_dims[i] != 2:
             raise ChannelError("depolarizing channel defined on qubit ions only")
@@ -178,6 +179,7 @@ def reset_channel(
     the parking level is pumped back as well so the reset leaves the ion in a
     known pure state regardless of prior branching.
     """
+    check_sites((ion,), layout.n_ions)
     ops = tuple(
         embed_operator(local, (ion,), layout.ion_dims)
         for local in pump_kraus_ops(layout.ion_dims[ion], target_level)
@@ -231,6 +233,7 @@ def park_from(
 
 def park_channel(layout: RegisterLayout, ion: int, source_level: int) -> Channel:
     """Channel form of :func:`park_from` (for Choi-level idempotence checks)."""
+    check_sites((ion,), layout.n_ions)
     if layout.ion_dims[ion] != 3:
         raise ChannelError("parking requires a qutrit ancilla")
     ops = tuple(

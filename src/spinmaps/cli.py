@@ -66,6 +66,7 @@ from .register import (
     PureState,
     RegisterError,
     RegisterLayout,
+    basis_bits,
     basis_state,
     partial_trace,
     qubit_register,
@@ -306,6 +307,8 @@ def _validate_config(config: RunConfig) -> None:
         raise ConfigError(f"m0 {config.m0} out of range for N={config.n}")
     if not 0.0 <= config.theta <= 0.5 + 1e-12:
         raise ConfigError("theta must lie in [0, 0.5] (units of pi)")
+    if not 0.0 <= config.phi <= 0.5 + 1e-12:
+        raise ConfigError("phi must lie in [0, 0.5] (units of pi)")
     if not 0.0 <= config.epsilon_diss <= 1.0:
         raise ConfigError("epsilon_diss must lie in [0, 1]")
     if config.epsilon_coh is not None and not 0.0 <= config.epsilon_coh <= 1.0:
@@ -557,9 +560,7 @@ def run_to_files(
 def _z_phases(angles: np.ndarray) -> np.ndarray:
     """Diagonal of the per-qubit z frame prod_i exp(-i a_i/2 sigma^z_i), ion 0
     most significant."""
-    n = len(angles)
-    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    return np.exp(0.5j * (1 - 2 * bits) @ angles)
+    return np.exp(0.5j * (1 - 2 * basis_bits(len(angles))) @ angles)
 
 
 def _permute_ions(u: np.ndarray, perm) -> np.ndarray:

@@ -28,6 +28,7 @@ from .register import (
     DensityOperator,
     RegisterError,
     apply_local_kraus,
+    basis_bits,
     embed_operator,
     qubit_register,
 )
@@ -171,12 +172,8 @@ def circuit_dissipative_map(spec: DissipativeMapSpec) -> Channel:
 def interaction_hamiltonian(n: int, periodic: bool = False) -> np.ndarray:
     """Diagonal H = sum_i (1+sigma_i^z)(1+sigma_{i+1}^z)/4: counts adjacent
     up-up pairs."""
-    dim = 2**n
-    diag = np.zeros(dim)
-    pairs = range(1, n + 1 if periodic else n)
-    for b in range(dim):
-        bits = [(b >> (n - 1 - i)) & 1 for i in range(n)]
-        diag[b] = sum(bits[i - 1] & bits[i % n] for i in pairs)
+    bits, sites = basis_bits(n), np.array(_sweep_sites(n, periodic), dtype=int)
+    diag = (bits[:, sites - 1] & bits[:, sites % n]).sum(axis=1)
     return np.diag(diag.astype(complex))
 
 

@@ -4,8 +4,6 @@ off-diagonal order and the closed-form Dicke-mixture analytics."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -15,6 +13,8 @@ from .register import (
     PureState,
     RegisterError,
     RegisterLayout,
+    basis_bits,
+    excitation_numbers as _excitation_numbers,
     qubit_register,
 )
 
@@ -24,16 +24,6 @@ EMPTY_SUBSPACE_TOL = 1e-12
 def _check_system_register(layout: RegisterLayout, n: int) -> None:
     if layout.ion_dims != (2,) * n:
         raise RegisterError(f"expected a register of {n} qubits, got {layout.ion_dims}")
-
-
-@lru_cache(maxsize=None)
-def _excitation_numbers(n: int) -> np.ndarray:
-    """Number of up-spins for every computational basis index of n qubits."""
-    idx = np.arange(2**n, dtype=np.uint64)
-    counts = np.zeros(2**n, dtype=np.int64)
-    for bit in range(n):
-        counts += ((idx >> np.uint64(bit)) & np.uint64(1)).astype(np.int64)
-    return counts
 
 
 def dicke_state(m: int, n: int) -> PureState:
@@ -62,24 +52,8 @@ def subspace_populations(rho: DensityOperator) -> np.ndarray:
     """Vector of Tr(P_m rho) over excitation numbers m = 0..N."""
     n = rho.layout.n_ions
     _check_system_register(rho.layout, n)
-    counts = _excitation_numbers(n)
     diag = np.real(np.diag(rho.matrix))
-    return np.array([float(diag[counts == m].sum()) for m in range(n + 1)])
-
-
-@lru_cache(maxsize=None)
-def _hop_operator(n: int) -> np.ndarray:
-    """sum_j sigma^-_j sigma^+_{j+1} over the open chain, dense."""
-    dim = 2**n
-    op = np.zeros((dim, dim), dtype=complex)
-    for b in range(dim):
-        bits = [(b >> (n - 1 - i)) & 1 for i in range(n)]
-        for j in range(n - 1):
-            # sigma^-_j sigma^+_{j+1}: needs up at j, down at j+1
-            if bits[j] == 1 and bits[j + 1] == 0:
-                target = b - (1 << (n - 1 - j)) + (1 << (n - 1 - (j + 1)))
-                op[target, b] += 1.0
-    return op
+    return np.bincount(_excitation_numbers(n), weights=diag, minlength=n + 1)
 
 
 def offdiag_order(rho: DensityOperator, m0: int) -> float:
@@ -92,12 +66,14 @@ def offdiag_order(rho: DensityOperator, m0: int) -> float:
     n = rho.layout.n_ions
     _check_system_register(rho.layout, n)
     mask = _excitation_numbers(n) == m0
-    block = rho.matrix[np.ix_(mask, mask)]
-    weight = float(np.real(np.trace(block)))
+    weight = float(np.real(np.diag(rho.matrix)[mask].sum()))
     if weight < EMPTY_SUBSPACE_TOL:
         raise RegisterError(f"no population in the m={m0} subspace")
-    hop = _hop_operator(n)[np.ix_(mask, mask)]
-    return float(np.real(np.einsum("ij,ji->", hop, block))) / weight
+    # hop pairs: b has ion j up and ion j+1 down, t is b with the two swapped
+    bits = basis_bits(n)
+    b, j = np.nonzero((bits[:, :-1] > bits[:, 1:]) & mask[:, None])
+    t = b - (1 << (n - 2 - j))
+    return float(np.real(rho.matrix[b, t].sum())) / weight
 
 
 def dicke_mixture(n: int) -> DensityOperator:

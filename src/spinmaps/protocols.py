@@ -17,12 +17,13 @@ from math import comb
 import numpy as np
 
 from .channels import park_kraus_ops, pump_kraus_ops
-from .observables import _excitation_numbers
 from .register import (
     DensityOperator,
     RegisterError,
     RegisterLayout,
     apply_local_kraus,
+    excitation_numbers,
+    system_with_ancilla,
 )
 
 PROJECTOR_MAX_N = 12
@@ -83,8 +84,7 @@ def build_projector(m: int, n: int) -> SubspaceProjector:
     if not 0 <= m <= n <= PROJECTOR_MAX_N:
         raise RegisterError(f"need 0 <= m <= N <= {PROJECTOR_MAX_N}, got m={m}, N={n}")
     alphas = _lagrange_coefficients(m, n)
-    counts = _excitation_numbers(n)
-    diag = (counts == m).astype(float)
+    diag = (excitation_numbers(n) == m).astype(float)
     return SubspaceProjector(n, m, tuple(float(a) for a in alphas), np.diag(diag))
 
 
@@ -102,12 +102,12 @@ def qnd_unitary(m0: int, n: int) -> np.ndarray:
 
 def qnd_register(n: int) -> RegisterLayout:
     """Qubit ancilla at index 0 followed by N system spins."""
-    return RegisterLayout((2,) + (2,) * n, ancilla_index=0)
+    return system_with_ancilla(n, ancilla_dim=2)
 
 
 def stabilization_register(n: int) -> RegisterLayout:
     """Qutrit ancilla at index 0 followed by N system spins."""
-    return RegisterLayout((3,) + (2,) * n, ancilla_index=0)
+    return system_with_ancilla(n)
 
 
 def postselect(rho: DensityOperator, m0: int) -> tuple[DensityOperator | None, float]:
@@ -119,7 +119,7 @@ def postselect(rho: DensityOperator, m0: int) -> tuple[DensityOperator | None, f
     n = rho.layout.n_ions
     if rho.layout.ion_dims != (2,) * n:
         raise RegisterError("postselect expects a system-only qubit register")
-    mask = _excitation_numbers(n) == m0
+    mask = excitation_numbers(n) == m0
     block = rho.matrix[np.ix_(mask, mask)]
     p = float(np.real(np.trace(block)))
     if p < 1e-12:
@@ -183,7 +183,7 @@ def _stabilize_half(
     if not 0 <= m0 <= n:
         raise RegisterError(f"m0 {m0} out of range for N={n}")
     dims = rho.layout.ion_dims
-    counts = _excitation_numbers(n)
+    counts = excitation_numbers(n)
     flags = counts > m0 if removing else counts < m0
     park_level = 1 if removing else 0
     mat = rho.matrix

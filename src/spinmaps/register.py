@@ -4,6 +4,8 @@ Conventions used throughout the package:
 
 * Ion 0 is the leftmost tensor factor; a basis index is the mixed-radix
   number built from the per-ion occupations, ion 0 most significant.
+  :func:`basis_bits` is the one owner of the qubit levels of a basis index:
+  excitation sectors, bond energies, hop pairs and frame phases read it.
 * The qubit levels are ``|0> = down`` and ``|1> = up``; ``|1>`` is the spin
   excitation.  Hence ``sigma_z = |1><1| - |0><0| = diag(-1, +1)``.
 * A qutrit ion carries the extra "parking" level ``|2>``.  2x2 operators
@@ -18,7 +20,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -39,8 +41,6 @@ _SIGMA = {
     "up": np.array([[0, 0], [0, 1]], dtype=complex),  # |1><1|
     "down": np.array([[1, 0], [0, 0]], dtype=complex),  # |0><0|
 }
-
-PAULI_AXES = ("x", "y", "z", "+", "-", "up", "down")
 
 
 class RegisterError(ValueError):
@@ -129,6 +129,23 @@ def qubit_register(n: int, ancilla_index: int | None = None) -> RegisterLayout:
     return RegisterLayout((2,) * n, ancilla_index)
 
 
+@lru_cache(maxsize=None)
+def basis_bits(n: int) -> np.ndarray:
+    """Read-only ``(2**n, n)`` table: entry ``[b, i]`` is the level of qubit
+    ion ``i`` in basis index ``b`` (ion 0 most significant)."""
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    bits.flags.writeable = False
+    return bits
+
+
+@lru_cache(maxsize=None)
+def excitation_numbers(n: int) -> np.ndarray:
+    """Number of up-spins for every computational basis index of n qubits."""
+    counts = basis_bits(n).sum(axis=1)
+    counts.flags.writeable = False
+    return counts
+
+
 def system_with_ancilla(n_system: int, ancilla_dim: int = 3) -> RegisterLayout:
     """Ancilla ion at index 0 followed by ``n_system`` qubit spins."""
     return RegisterLayout((ancilla_dim,) + (2,) * n_system, ancilla_index=0)
@@ -149,7 +166,7 @@ class PureState:
                 f"vector length {vec.size} does not match layout dim {self.layout.dim}"
             )
         norm = np.linalg.norm(vec)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise RegisterError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
 
     def density(self) -> "DensityOperator":
@@ -161,7 +178,7 @@ class DensityOperator:
     """Positive, unit-trace operator on a register.
 
     Construction validates Hermiticity (1e-10), unit trace (1e-10) and
-    positivity (smallest eigenvalue >= -1e-8).
+    positivity (smallest eigenvalue >= -1e-8); each check fails on NaN.
     """
 
     layout: RegisterLayout
@@ -174,13 +191,13 @@ class DensityOperator:
         if mat.shape != (d, d):
             raise RegisterError(f"matrix shape {mat.shape} does not match dim {d}")
         herm = np.max(np.abs(mat - mat.conj().T)) if d else 0.0
-        if herm > HERMITICITY_TOL:
+        if not herm <= HERMITICITY_TOL:
             raise RegisterError(f"matrix deviates from Hermitian by {herm}")
         tr = np.trace(mat)
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise RegisterError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
         lo = float(np.min(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))))
-        if lo < POSITIVITY_FLOOR:
+        if not lo >= POSITIVITY_FLOOR:
             raise RegisterError(f"smallest eigenvalue {lo} below {POSITIVITY_FLOOR}")
 
     def tensor(self) -> np.ndarray:

@@ -295,3 +295,28 @@ class TestResetLevelRange:
     def test_reset_channel_still_rejects_level(self):
         with pytest.raises(ChannelError, match="target level"):
             reset_channel(qubit_register(2), 0, target_level=2)
+
+
+from spinmaps.channels import ChoiMatrix  # noqa: E402
+from spinmaps.register import RegisterError  # noqa: E402
+
+
+class TestNaNRejected:
+    def test_channel_with_nan_kraus_operator(self):
+        with pytest.raises(ChannelError):
+            Channel(qubit_register(1), (np.full((2, 2), np.nan),))
+
+    def test_choi_matrix_of_nan(self):
+        with pytest.raises(ChannelError):
+            ChoiMatrix(np.full((4, 4), np.nan), 2)
+
+
+class TestBuilderSiteChecks:
+    @pytest.mark.parametrize("build", [
+        lambda: reset_channel(qubit_register(2), 5),
+        lambda: park_channel(RegisterLayout((3, 2)), 5, 1),
+        lambda: depolarizing_channel(qubit_register(2), (5,)),
+    ])
+    def test_out_of_range_ion_is_a_register_error(self, build):
+        with pytest.raises(RegisterError, match="distinct ions"):
+            build()

@@ -348,3 +348,23 @@ class TestScheduleLengthBound:
         )
         assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
         assert "exceeds" in capsys.readouterr().err
+
+
+class TestNonFiniteInput:
+    def test_state_file_with_nan_entry_exits_2(self, tmp_path, capsys):
+        rho = dicke_state(1, 3).density()
+        dump_state(rho, tmp_path / "dicke.json")
+        payload = json.loads((tmp_path / "dicke.json").read_text())
+        payload["matrix"][9] = [float("nan"), 0.0]
+        code, err = TestStateFileBoundary().run_with_state(tmp_path, capsys, json.dumps(payload))
+        assert code == 2
+        assert "state file" in err and "deviates from Hermitian by nan" in err
+
+    @pytest.mark.parametrize("phi", ["7", "-0.1", "nan"])
+    def test_config_phi_outside_range(self, tmp_path, capsys, phi):
+        with pytest.raises(ConfigError, match="phi"):
+            parse_config_text(PUMP_CFG + f"phi = {phi}\n")
+        cfg = tmp_path / "phi.cfg"
+        cfg.write_text(PUMP_CFG + f"phi = {phi}\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "phi" in capsys.readouterr().err

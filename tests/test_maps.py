@@ -361,3 +361,19 @@ class TestSpecValidation:
     def test_noise_bounds(self):
         with pytest.raises(RegisterError):
             DissipativeMapSpec(1, epsilon=1.5)
+
+
+def _loop_bond_energies(n, periodic):
+    """Test-local reference: count adjacent up-up pairs of every basis state."""
+    lay = qubit_register(n)
+    bonds = [(i, i + 1) for i in range(n - 1)] + ([(n - 1, 0)] if periodic else [])
+    diag = [sum(lay.occupation_of(b)[i] & lay.occupation_of(b)[j] for i, j in bonds)
+            for b in range(lay.dim)]
+    return np.diag(np.array(diag, dtype=complex))
+
+
+class TestInteractionHamiltonianReference:
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_equals_loop_reference(self, n, periodic):
+        assert np.array_equal(interaction_hamiltonian(n, periodic), _loop_bond_energies(n, periodic))

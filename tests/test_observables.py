@@ -175,3 +175,60 @@ class TestObservableReport:
     def test_rejects_bad_purity(self):
         with pytest.raises(RegisterError):
             ObservableReport(1, "SWEEP", 0.5, 1.5, (0.5, 0.5), 0.1)
+
+
+import tracemalloc  # noqa: E402
+
+
+def _dense_hop(n):
+    """Test-local reference: sum_j sigma^-_j sigma^+_{j+1} on the open chain."""
+    lay = qubit_register(n)
+    op = np.zeros((lay.dim, lay.dim))
+    for b in range(lay.dim):
+        occ = lay.occupation_of(b)
+        for j in range(n - 1):
+            if occ[j] == 1 and occ[j + 1] == 0:
+                flipped = occ[:j] + (0, 1) + occ[j + 2:]
+                op[lay.index_of(flipped), b] += 1.0
+    return op
+
+
+def _random_state(n, seed, rank=4):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(2**n, rank)) + 1j * rng.normal(size=(2**n, rank))
+    mat = g @ g.conj().T
+    return DensityOperator(qubit_register(n), mat / np.trace(mat))
+
+
+def _sector_masks(n):
+    counts = np.array([sum(qubit_register(n).occupation_of(b)) for b in range(2**n)])
+    return [counts == m for m in range(n + 1)]
+
+
+class TestSectorBookkeepingAgainstReferences:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_offdiag_order_matches_dense_hop_operator(self, n):
+        rho = _random_state(n, seed=n)
+        hop = _dense_hop(n)
+        for m0, mask in enumerate(_sector_masks(n)):
+            block = rho.matrix[np.ix_(mask, mask)]
+            ref = np.real(np.trace(hop[np.ix_(mask, mask)] @ block)) / np.real(np.trace(block))
+            assert abs(offdiag_order(rho, m0) - ref) < 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_subspace_populations_match_mask_sums(self, n):
+        rho = _random_state(n, seed=100 + n)
+        diag = np.real(np.diag(rho.matrix))
+        ref = [diag[mask].sum() for mask in _sector_masks(n)]
+        assert np.max(np.abs(subspace_populations(rho) - ref)) < 1e-14
+
+    def test_offdiag_order_builds_no_dense_operator(self):
+        rho = dicke_state(5, 10).density()
+        tracemalloc.start()
+        try:
+            value = offdiag_order(rho, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == pytest.approx(9 * analytic_dicke_order(5, 10), abs=1e-12)
+        assert peak < 4e6

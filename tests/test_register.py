@@ -313,3 +313,39 @@ class TestSiteValidation:
         rho = basis_state(qubit_register(3), [1, 0, 1]).density()
         with pytest.raises(RegisterError, match="distinct ions"):
             _SITE_ENTRY_POINTS[entry](rho, sites)
+
+
+from spinmaps.register import basis_bits, excitation_numbers  # noqa: E402
+
+
+class TestBasisBits:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_rows_are_the_occupations(self, n):
+        lay = qubit_register(n)
+        bits = basis_bits(n)
+        assert bits.shape == (2**n, n)
+        assert np.issubdtype(bits.dtype, np.signedinteger)
+        for idx in range(lay.dim):
+            assert tuple(bits[idx]) == lay.occupation_of(idx)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_excitation_numbers_are_popcounts(self, n):
+        expected = [bin(b).count("1") for b in range(2**n)]
+        assert excitation_numbers(n).tolist() == expected
+
+    def test_cached_tables_are_read_only(self):
+        for table in (basis_bits(3), excitation_numbers(3)):
+            with pytest.raises(ValueError):
+                table[0] = 1
+
+
+class TestNaNRejected:
+    """``nan > tol`` is False, so each invariant is written to fail on NaN."""
+
+    def test_density_operator(self):
+        with pytest.raises(RegisterError):
+            DensityOperator(qubit_register(1), np.full((2, 2), np.nan))
+
+    def test_pure_state(self):
+        with pytest.raises(RegisterError):
+            PureState(qubit_register(1), np.array([np.nan, 1.0]))
