@@ -1,5 +1,9 @@
 """Generic CPTP machinery: Kraus channels, depolarizing noise, ancilla reset
-and parking, Choi matrices and fidelity measures."""
+and parking, Choi matrices and fidelity measures.
+
+Life cycle of a local operation: it is built once as a validated
+:class:`Channel` on its own ions, multiplied out only by :func:`compose`, and
+applied to a register state through :func:`apply_embedded`, which checks sites."""
 
 from __future__ import annotations
 
@@ -11,7 +15,6 @@ import numpy as np
 from .register import (
     DensityOperator,
     PureState,
-    RegisterError,
     RegisterLayout,
     apply_local_kraus,
     check_sites,
@@ -191,16 +194,15 @@ def reset_ancilla(
     rho: DensityOperator, ancilla_index: int, target_level: int = 1
 ) -> DensityOperator:
     """Incoherently reinitialize the ancilla ion into ``target_level``."""
-    layout = rho.layout
-    if not 0 <= ancilla_index < layout.n_ions:
-        raise ChannelError(f"ancilla index {ancilla_index} out of range")
-    dim = layout.ion_dims[ancilla_index]
-    kraus = pump_kraus_ops(dim, target_level)
-    out = apply_local_kraus(rho.matrix, kraus, (ancilla_index,), layout.ion_dims)
-    return DensityOperator(layout, out)
+    check_sites((ancilla_index,), rho.layout.n_ions)
+    local = RegisterLayout((rho.layout.ion_dims[ancilla_index],))
+    return apply_embedded(reset_channel(local, 0, target_level), rho, (ancilla_index,))
 
 
 def park_kraus_ops(source_level: int) -> tuple[np.ndarray, ...]:
+    """Qutrit Kraus set moving computational ``source_level`` into parking |2>."""
+    if source_level not in (0, 1):
+        raise ChannelError("source level must be a computational level (0 or 1)")
     other = 1 - source_level
     k_move = np.zeros((3, 3), dtype=complex)
     k_move[2, source_level] = 1.0
@@ -219,16 +221,8 @@ def park_from(
     Population already parked stays parked (the operation is idempotent);
     the other computational level is untouched.
     """
-    layout = rho.layout
-    if source_level not in (0, 1):
-        raise ChannelError("source level must be a computational level (0 or 1)")
-    check_sites((ancilla_index,), layout.n_ions)
-    if layout.ion_dims[ancilla_index] != 3:
-        raise ChannelError("parking requires a qutrit ancilla")
-    out = apply_local_kraus(
-        rho.matrix, park_kraus_ops(source_level), (ancilla_index,), layout.ion_dims
-    )
-    return DensityOperator(layout, out)
+    channel = park_channel(RegisterLayout((3,)), 0, source_level)
+    return apply_embedded(channel, rho, (ancilla_index,))
 
 
 def park_channel(layout: RegisterLayout, ion: int, source_level: int) -> Channel:

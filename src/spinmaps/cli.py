@@ -235,6 +235,8 @@ def parse_config_text(text: str, strict: bool = False) -> RunConfig:
         if not line:
             continue
         if line.startswith("schedule"):
+            if schedule_text is not None:
+                raise ConfigError(f"line {i}: duplicate schedule block")
             rest = line[len("schedule") :].strip()
             if not rest.startswith("{"):
                 raise ConfigError(f"line {i}: schedule block must open with '{{'")
@@ -249,7 +251,9 @@ def parse_config_text(text: str, strict: bool = False) -> RunConfig:
                 i += 1
             joined = "\n".join(body)
             # strip the final closing brace of the block itself
-            schedule_text = joined[: joined.rfind("}")]
+            schedule_text, _, tail = joined.rpartition("}")
+            if tail.strip():
+                raise ConfigError(f"line {i}: unexpected {tail.strip()!r} after the schedule block")
             continue
         if "=" not in line:
             raise ConfigError(f"line {i}: expected 'key = value', got {raw.strip()!r}")

@@ -16,7 +16,7 @@ from math import cos, isfinite, pi, sin
 
 import numpy as np
 
-from .channels import Channel, reset_channel
+from .channels import Channel, compose, reset_channel, unitary_channel
 from .register import (
     DensityOperator,
     PauliString,
@@ -283,12 +283,11 @@ def sequence_channel(seq: PulseSequence, layout: RegisterLayout) -> Channel:
     same channel semantics here: an incoherent pump of the addressed ion
     into |1>.
     """
-    kraus: list[np.ndarray] = [np.eye(layout.dim, dtype=complex)]
+    channel = unitary_channel(layout, np.eye(layout.dim), "sequence")
     for pulse in seq.pulses:
         if pulse.kind in ("Reset", "Repump"):
-            stage = reset_channel(layout, pulse.ion, target_level=1).kraus_ops
-            kraus = [r @ k for r in stage for k in kraus]
+            stage = reset_channel(layout, pulse.ion, target_level=1)
         else:
-            u = _pulse_unitary(pulse, layout, seq.active_mask)
-            kraus = [u @ k for k in kraus]
-    return Channel(layout, tuple(kraus), label="sequence")
+            stage = unitary_channel(layout, _pulse_unitary(pulse, layout, seq.active_mask))
+        channel = compose(channel, stage, "sequence")
+    return channel

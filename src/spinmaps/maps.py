@@ -20,6 +20,8 @@ from scipy.linalg import expm
 from .channels import (
     Channel,
     ChannelError,
+    apply_embedded,
+    compose,
     depolarizing_channel,
     mix,
     unitary_channel,
@@ -113,6 +115,14 @@ def dissipative_kraus(theta: float) -> tuple[np.ndarray, np.ndarray]:
     return e1, e2
 
 
+def _depolarized(ideal: Channel, epsilon: float) -> Channel:
+    """The per-map noise model: ``ideal`` mixed with pair depolarizing."""
+    if epsilon == 0.0:
+        return ideal
+    noise = depolarizing_channel(_PAIR_LAYOUT, (0, 1))
+    return mix([ideal, noise], [1.0 - epsilon, epsilon])
+
+
 def elementary_dissipative_map(spec: DissipativeMapSpec) -> Channel:
     """Two-spin dissipative map as a channel on the pair.
 
@@ -120,11 +130,7 @@ def elementary_dissipative_map(spec: DissipativeMapSpec) -> Channel:
     mixes in the double-depolarizing channel on both pair spins.
     """
     e1, e2 = dissipative_kraus(spec.theta)
-    ideal = Channel(_PAIR_LAYOUT, (e1, e2), label=f"D{spec.pair}")
-    if spec.epsilon == 0.0:
-        return ideal
-    noise = depolarizing_channel(_PAIR_LAYOUT, (0, 1))
-    return mix([ideal, noise], [1.0 - spec.epsilon, spec.epsilon])
+    return _depolarized(Channel(_PAIR_LAYOUT, (e1, e2), label=f"D{spec.pair}"), spec.epsilon)
 
 
 def _ancilla_dilation_unitary(theta_map: float, phi: float, omit_inverse: bool) -> np.ndarray:
@@ -162,11 +168,7 @@ def circuit_dissipative_map(spec: DissipativeMapSpec) -> Channel:
     u = _ancilla_dilation_unitary(pi / 2, phi, omit_inverse=omit)
     # Stinespring reduction: K_k = <k|_a U |1>_a, ancilla is the first factor.
     kraus = tuple(u[4 * k : 4 * (k + 1), 4 : 8] for k in range(2))
-    ideal = Channel(_PAIR_LAYOUT, kraus, label=f"circuit-D{spec.pair}")
-    if spec.epsilon == 0.0:
-        return ideal
-    noise = depolarizing_channel(_PAIR_LAYOUT, (0, 1))
-    return mix([ideal, noise], [1.0 - spec.epsilon, spec.epsilon])
+    return _depolarized(Channel(_PAIR_LAYOUT, kraus, label=f"circuit-D{spec.pair}"), spec.epsilon)
 
 
 def interaction_hamiltonian(n: int, periodic: bool = False) -> np.ndarray:
@@ -185,10 +187,7 @@ def _pair_interaction_unitary(phi: float) -> np.ndarray:
 def elementary_hamiltonian_map(phi: float, epsilon_coh: float = 0.0) -> Channel:
     """Pair-level coherent map with optional depolarizing wrapper."""
     ideal = unitary_channel(_PAIR_LAYOUT, _pair_interaction_unitary(phi), f"U(phi={phi:g})")
-    if epsilon_coh == 0.0:
-        return ideal
-    noise = depolarizing_channel(_PAIR_LAYOUT, (0, 1))
-    return mix([ideal, noise], [1.0 - epsilon_coh, epsilon_coh])
+    return _depolarized(ideal, epsilon_coh)
 
 
 # A noisy pair map has 17 Kraus operators, so the materialized composite map
@@ -216,12 +215,13 @@ def hamiltonian_map(spec: HamiltonianMapSpec, n: int, periodic: bool = False) ->
             f"{_MATERIALIZE_MAX_PAIRS}) is not supported; apply composite_map instead"
         )
     pair = elementary_hamiltonian_map(spec.phi, spec.epsilon_coh)
-    kraus: list[np.ndarray] = [np.eye(layout.dim, dtype=complex)]
+    label = f"U(phi={spec.phi:g}, eps={spec.epsilon_coh:g})"
+    channel = unitary_channel(layout, np.eye(layout.dim), label)
     for i in pairs:
         ions = _sites_to_ions(i, n, periodic)
-        stage = [embed_operator(k, ions, layout.ion_dims) for k in pair.kraus_ops]
-        kraus = [s @ k for s in stage for k in kraus]
-    return Channel(layout, tuple(kraus), label=f"U(phi={spec.phi:g}, eps={spec.epsilon_coh:g})")
+        stage = tuple(embed_operator(k, ions, layout.ion_dims) for k in pair.kraus_ops)
+        channel = compose(channel, Channel(layout, stage), label)
+    return channel
 
 
 def _sweep_sites(n: int, periodic: bool) -> list[int]:
@@ -252,11 +252,8 @@ def _pair_sweep(
 
 def apply_dissipative_map(rho: DensityOperator, spec: DissipativeMapSpec, periodic: bool = False) -> DensityOperator:
     """Apply D_{i,i+1} to a register state (local Kraus application)."""
-    n = rho.layout.n_ions
-    ions = _sites_to_ions(spec.site, n, periodic)
-    channel = elementary_dissipative_map(spec)
-    out = apply_local_kraus(rho.matrix, channel.kraus_ops, ions, rho.layout.ion_dims)
-    return DensityOperator(rho.layout, out)
+    ions = _sites_to_ions(spec.site, rho.layout.n_ions, periodic)
+    return apply_embedded(elementary_dissipative_map(spec), rho, ions)
 
 
 def composite_dissipative_sweep(

@@ -44,8 +44,8 @@ def dicke_fidelity(rho: DensityOperator, m: int, n: int) -> float:
 
 
 def purity(rho: DensityOperator) -> float:
-    """Tr rho^2."""
-    return float(np.real(np.einsum("ij,ji->", rho.matrix, rho.matrix)))
+    """Tr rho^2, summed as |rho_ij|^2 since rho is Hermitian."""
+    return float(np.vdot(rho.matrix, rho.matrix).real)
 
 
 def subspace_populations(rho: DensityOperator) -> np.ndarray:
@@ -109,7 +109,7 @@ class ObservableReport:
     state_dump: str | None = None
 
     def __post_init__(self) -> None:
-        if abs(sum(self.populations) - 1.0) > 1e-9:
+        if not abs(sum(self.populations) - 1.0) <= 1e-9:
             raise RegisterError("subspace populations must sum to 1")
         if not 0.0 < self.purity <= 1.0 + 1e-9:
             raise RegisterError(f"purity {self.purity} outside (0, 1]")

@@ -227,8 +227,5 @@ def stabilize_inject(rho: DensityOperator, m0: int) -> DensityOperator:
 
 
 def stabilize(rho: DensityOperator, m0: int) -> DensityOperator:
-    """Full stabilization round: removal, ancilla reset, injection."""
-    out = stabilize_remove(rho, m0)
-    mat = apply_local_kraus(out.matrix, pump_kraus_ops(3, 1), (0,), out.layout.ion_dims)
-    out = DensityOperator(out.layout, mat)
-    return stabilize_inject(out, m0)
+    """Full stabilization round: removal, then injection (each resets the ancilla)."""
+    return stabilize_inject(stabilize_remove(rho, m0), m0)

@@ -368,3 +368,49 @@ class TestNonFiniteInput:
         cfg.write_text(PUMP_CFG + f"phi = {phi}\n")
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "phi" in capsys.readouterr().err
+
+
+class TestScheduleBlockText:
+    BASE = "N = 3\nm0 = 1\ninitial = 100\n"
+
+    def test_second_schedule_block_is_rejected(self):
+        text = self.BASE + "schedule { SWEEP }\nschedule { D 1; D 2 }\n"
+        with pytest.raises(ConfigError, match="line 5: duplicate schedule block"):
+            parse_config_text(text)
+
+    def test_text_after_the_closing_brace_is_rejected(self):
+        text = self.BASE + "schedule { SWEEP } theta = 0.1\n"
+        with pytest.raises(ConfigError, match="line 4: unexpected 'theta = 0.1'"):
+            parse_config_text(text)
+
+    def test_text_after_a_multiline_block_is_rejected(self):
+        text = self.BASE + "schedule {\n  SWEEP\n} SWEEP\n"
+        with pytest.raises(ConfigError, match="line 6: unexpected 'SWEEP'"):
+            parse_config_text(text)
+
+    def test_comment_after_the_block_is_allowed(self):
+        config = parse_config_text(self.BASE + "schedule { SWEEP }  # one sweep\ntheta = 0.1\n")
+        assert config.schedule == (("SWEEP", None),) and config.theta == 0.1
+
+    @pytest.mark.parametrize("tail", [
+        "schedule { SWEEP }\nschedule { D 1; D 2 }\n",
+        "schedule { SWEEP } theta = 0.1\n",
+    ])
+    def test_cli_exits_2(self, tmp_path, capsys, tail):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(self.BASE + tail)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "schedule block" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_shipped_configs_parse_as_before(self):
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        expected = {
+            "competition_3spin": (("SWEEP", None), ("U", 0.5)) * 2 + (("QND", 2),),
+            "pump_10spin_noisy": (("SWEEP", None),) * 30,
+            "pump_3spin": (("D", 1), ("D", 2)) * 3,
+            "stabilize_3spin": (("REMOVE", 1), ("INJECT", 1)),
+        }
+        assert sorted(p.stem for p in configs.glob("*.cfg")) == sorted(expected)
+        for stem, schedule in expected.items():
+            assert parse_config(configs / f"{stem}.cfg").schedule == schedule

@@ -232,3 +232,22 @@ class TestSectorBookkeepingAgainstReferences:
             tracemalloc.stop()
         assert value == pytest.approx(9 * analytic_dicke_order(5, 10), abs=1e-12)
         assert peak < 4e6
+
+
+class TestReportRejectsNaN:
+    def test_nan_population(self):
+        with pytest.raises(RegisterError, match="populations"):
+            ObservableReport(1, "SWEEP", 0.5, 0.9, (float("nan"), 1.0), 0.1)
+
+
+class TestPurityAgainstEinsum:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_random_hermitized_states(self, n):
+        rng = np.random.default_rng(100 + n)
+        d = 2**n
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        mat = a @ a.conj().T
+        mat = 0.5 * (mat + mat.conj().T) / np.trace(mat).real
+        rho = DensityOperator(qubit_register(n), mat)
+        reference = float(np.real(np.einsum("ij,ji->", mat, mat)))
+        assert abs(purity(rho) - reference) <= 1e-13

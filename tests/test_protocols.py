@@ -294,3 +294,16 @@ class TestCascadeEdgeCases:
         rho = with_ancilla(dm(basis_state(qubit_register(3), [1, 1, 0]).vector))
         out = system_of(stabilize_inject(rho, 3))
         assert np.allclose(subspace_populations(out), [0, 0, 0, 1], atol=1e-9)
+
+
+class TestStabilizeIsRemoveThenInject:
+    @pytest.mark.parametrize("n", range(2, 5))
+    def test_exact_on_random_states(self, n):
+        rng = np.random.default_rng(40 + n)
+        d = 3 * 2**n
+        for m0 in range(n + 1):
+            a = rng.normal(size=(d, 4)) + 1j * rng.normal(size=(d, 4))
+            mat = a @ a.conj().T
+            rho = DensityOperator(stabilization_register(n), mat / np.trace(mat).real)
+            expected = stabilize_inject(stabilize_remove(rho, m0), m0)
+            assert np.array_equal(stabilize(rho, m0).matrix, expected.matrix)
