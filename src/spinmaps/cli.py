@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -223,6 +224,10 @@ def parse_config(path: str | Path, strict: bool = False) -> RunConfig:
     return parse_config_text(path.read_text(), strict=strict)
 
 
+# ``schedule`` as a whole word; ``schedule_x = 3`` is an unknown key.
+_SCHEDULE_OPEN = re.compile(r"schedule(?=[\s{]|$)")
+
+
 def parse_config_text(text: str, strict: bool = False) -> RunConfig:
     values: dict[str, str] = {}
     schedule_text: str | None = None
@@ -234,7 +239,7 @@ def parse_config_text(text: str, strict: bool = False) -> RunConfig:
         i += 1
         if not line:
             continue
-        if line.startswith("schedule"):
+        if _SCHEDULE_OPEN.match(line):
             if schedule_text is not None:
                 raise ConfigError(f"line {i}: duplicate schedule block")
             rest = line[len("schedule") :].strip()
@@ -372,7 +377,7 @@ def dump_state(rho: DensityOperator, path: Path) -> None:
             "ion_dims": list(rho.layout.ion_dims),
             "ancilla_index": rho.layout.ancilla_index,
         },
-        "matrix": [[float(z.real), float(z.imag)] for z in flat],
+        "matrix": np.column_stack([flat.real, flat.imag]).tolist(),
     }
     path.write_text(json.dumps(payload) + "\n")
 

@@ -15,6 +15,13 @@ Conventions used throughout the package:
 * :func:`embed_operator` is the one embedder of a local operator into the
   register and :func:`apply_local_kraus` the one local apply path; a
   unitary ``U`` is applied as the Kraus set ``(U,)``.
+* :class:`DensityOperator` judges positivity block by block.  On an
+  all-qubit register whose Hermitian part ``H`` passes the exact count test
+  ``count_nonzero(H) == sum(count_nonzero(block))`` over the excitation
+  sectors, the blocks are those sectors (every map of the paper conserves
+  total S_z); any other state is one dense block.  Each block is first
+  tried by a Cholesky factorization just inside the floor, and ``eigvalsh``
+  decides when one fails.  The tolerances are the same on every path.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.linalg.lapack import zpotrf
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -146,6 +154,15 @@ def excitation_numbers(n: int) -> np.ndarray:
     return counts
 
 
+@lru_cache(maxsize=None)
+def _sector_indices(n: int) -> tuple[np.ndarray, ...]:
+    """Read-only basis indices of each excitation sector ``k = 0..n`` of n qubits."""
+    sectors = tuple(np.flatnonzero(excitation_numbers(n) == k) for k in range(n + 1))
+    for idx in sectors:
+        idx.flags.writeable = False
+    return sectors
+
+
 def system_with_ancilla(n_system: int, ancilla_dim: int = 3) -> RegisterLayout:
     """Ancilla ion at index 0 followed by ``n_system`` qubit spins."""
     return RegisterLayout((ancilla_dim,) + (2,) * n_system, ancilla_index=0)
@@ -178,7 +195,20 @@ class DensityOperator:
     """Positive, unit-trace operator on a register.
 
     Construction validates Hermiticity (1e-10), unit trace (1e-10) and
-    positivity (smallest eigenvalue >= -1e-8); each check fails on NaN.
+    positivity (smallest eigenvalue of the Hermitian part ``H`` >= -1e-8);
+    each check fails on NaN.
+
+    Positivity is judged on a list of Hermitian blocks whose spectra together
+    are the spectrum of ``H``.  On an all-qubit register the blocks are the
+    excitation sectors, used only when the exact count test
+    ``count_nonzero(H) == sum(count_nonzero(block))`` holds, i.e. ``H`` has
+    no entry outside them; otherwise (qutrit ions, cross-sector coherence)
+    the one block is ``H`` itself.  A block passes when ``block + s 1`` with
+    ``s = 1e-8 - 1e-10`` has a Cholesky factor, which proves its smallest
+    eigenvalue is above -1e-8: the factorization's backward error is far
+    below the 1e-10 margin.  If any block fails, ``eigvalsh`` of every block
+    decides and the error names the smallest eigenvalue over all blocks.
+    No tolerance depends on the path taken.
     """
 
     layout: RegisterLayout
@@ -196,7 +226,16 @@ class DensityOperator:
         tr = np.trace(mat)
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise RegisterError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
-        lo = float(np.min(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))))
+        # The Hermitian part is built in the adjoint's own buffer, after the
+        # residual, so validation never holds more than two extra d x d
+        # arrays; sharing one adjoint with the residual would hold more.
+        h = mat.conj().T
+        h += mat
+        h *= 0.5
+        blocks = _hermitian_blocks(self.layout, h)
+        if all(_clears_floor(block) for block in blocks):
+            return
+        lo = float(np.min(np.concatenate([np.linalg.eigvalsh(b) for b in blocks])))
         if not lo >= POSITIVITY_FLOOR:
             raise RegisterError(f"smallest eigenvalue {lo} below {POSITIVITY_FLOOR}")
 
@@ -204,6 +243,30 @@ class DensityOperator:
         """Matrix reshaped to one ket and one bra axis per ion."""
         dims = self.layout.ion_dims
         return self.matrix.reshape(dims + dims)
+
+
+# Diagonal shift of the Cholesky test: 1e-10 inside the positivity floor.
+_CHOLESKY_SHIFT = -POSITIVITY_FLOOR - 1e-10
+
+
+def _hermitian_blocks(layout: RegisterLayout, h: np.ndarray) -> list[np.ndarray]:
+    """Diagonal blocks of the Hermitian ``h`` whose spectra together are its
+    spectrum: the excitation sectors of an all-qubit register when every
+    nonzero entry of ``h`` lies in one of them, otherwise ``[h]``."""
+    if set(layout.ion_dims) == {2}:
+        blocks = [h[np.ix_(idx, idx)] for idx in _sector_indices(layout.n_ions)]
+        if sum(np.count_nonzero(b) for b in blocks) == np.count_nonzero(h):
+            return blocks
+    return [h]
+
+
+def _clears_floor(block: np.ndarray) -> bool:
+    """True when ``block + _CHOLESKY_SHIFT * 1`` has a Cholesky factor."""
+    shifted = block.copy()
+    shifted[np.diag_indices_from(shifted)] += _CHOLESKY_SHIFT
+    # The transpose of the C-ordered buffer is Fortran-ordered, so LAPACK
+    # factors it in place; it is conj(shifted), which has the same spectrum.
+    return zpotrf(shifted.T, overwrite_a=True, clean=False)[1] == 0
 
 
 @dataclass(frozen=True)

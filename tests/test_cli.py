@@ -2,6 +2,7 @@ import json
 import numpy as np
 import pytest
 from pathlib import Path
+from types import SimpleNamespace
 
 from spinmaps.cli import (
     ConfigError,
@@ -20,7 +21,7 @@ from spinmaps.cli import (
     run_to_files,
 )
 from spinmaps.observables import dicke_state
-from spinmaps.register import basis_state, qubit_register
+from spinmaps.register import DensityOperator, basis_state, qubit_register
 
 PUMP_CFG = """\
 # three sweeps of the two elementary maps
@@ -403,6 +404,25 @@ class TestScheduleBlockText:
         assert "schedule block" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_schedule_prefixed_key_is_an_unknown_key(self, capsys):
+        text = self.BASE + "schedule_x = 3\nschedule { SWEEP }\n"
+        config = parse_config_text(text)
+        assert config.schedule == (("SWEEP", None),)
+        assert "unknown config key 'schedule_x'" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match="line 4: unknown key 'schedule_x'"):
+            parse_config_text(text, strict=True)
+
+    def test_brace_directly_after_the_keyword(self):
+        config = parse_config_text(self.BASE + "schedule{ SWEEP }\n")
+        assert config.schedule == (("SWEEP", None),)
+
+    def test_cli_strict_exits_2_on_schedule_prefixed_key(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(self.BASE + "schedule_x = 3\nschedule { SWEEP }\n")
+        assert main(["run", str(cfg), "--strict", "--out", str(tmp_path / "out")]) == 2
+        assert "unknown key 'schedule_x'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_shipped_configs_parse_as_before(self):
         configs = Path(__file__).resolve().parents[1] / "configs"
         expected = {
@@ -414,3 +434,47 @@ class TestScheduleBlockText:
         assert sorted(p.stem for p in configs.glob("*.cfg")) == sorted(expected)
         for stem, schedule in expected.items():
             assert parse_config(configs / f"{stem}.cfg").schedule == schedule
+
+
+class TestDumpStateBytes:
+    """``dump_state`` writes the bytes of the per-entry float comprehension."""
+
+    @staticmethod
+    def comprehension_dump(rho):
+        flat = rho.matrix.reshape(-1)
+        payload = {
+            "layout": {
+                "ion_dims": list(rho.layout.ion_dims),
+                "ancilla_index": rho.layout.ancilla_index,
+            },
+            "matrix": [[float(z.real), float(z.imag)] for z in flat],
+        }
+        return json.dumps(payload) + "\n"
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_states(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        n = 1 + seed
+        a = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+        rho = DensityOperator(qubit_register(n), a @ a.conj().T / np.trace(a @ a.conj().T).real)
+        dump_state(rho, tmp_path / "s.json")
+        assert (tmp_path / "s.json").read_text() == self.comprehension_dump(rho)
+        assert load_state(tmp_path / "s.json").matrix.tobytes() == rho.matrix.tobytes()
+
+    def test_signed_zeros_and_subnormals_round_trip(self, tmp_path):
+        mat = np.array([[0.5, -0.0], [-0.0, 0.5]], dtype=complex)
+        mat[0, 1] = complex(5e-324, -0.0)
+        mat[1, 0] = complex(5e-324, 0.0)
+        mat[1, 1] = complex(0.5, -0.0)
+        rho = DensityOperator(qubit_register(1), mat)
+        dump_state(rho, tmp_path / "s.json")
+        assert (tmp_path / "s.json").read_text() == self.comprehension_dump(rho)
+        assert load_state(tmp_path / "s.json").matrix.tobytes() == mat.tobytes()
+
+    def test_extreme_entries(self, tmp_path):
+        # dump_state reads only the layout and the matrix; these entries are
+        # not a valid state, so they are passed without validation.
+        mat = np.array([[1e300, -0.0], [complex(2.5e-310, -1e300), complex(-0.0, 1e-320)]])
+        rho = SimpleNamespace(layout=qubit_register(1), matrix=mat)
+        dump_state(rho, tmp_path / "s.json")
+        assert (tmp_path / "s.json").read_text() == self.comprehension_dump(rho)

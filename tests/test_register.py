@@ -315,7 +315,7 @@ class TestSiteValidation:
             _SITE_ENTRY_POINTS[entry](rho, sites)
 
 
-from spinmaps.register import basis_bits, excitation_numbers  # noqa: E402
+from spinmaps.register import _sector_indices, basis_bits, excitation_numbers  # noqa: E402
 
 
 class TestBasisBits:
@@ -334,7 +334,7 @@ class TestBasisBits:
         assert excitation_numbers(n).tolist() == expected
 
     def test_cached_tables_are_read_only(self):
-        for table in (basis_bits(3), excitation_numbers(3)):
+        for table in (basis_bits(3), excitation_numbers(3), *_sector_indices(3)):
             with pytest.raises(ValueError):
                 table[0] = 1
 
@@ -349,3 +349,148 @@ class TestNaNRejected:
     def test_pure_state(self):
         with pytest.raises(RegisterError):
             PureState(qubit_register(1), np.array([np.nan, 1.0]))
+
+
+import re  # noqa: E402
+
+from spinmaps.register import _hermitian_blocks  # noqa: E402
+
+
+def reference_min_eigenvalue(mat):
+    """Smallest eigenvalue of the Hermitian part by one dense ``eigvalsh``."""
+    return float(np.min(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))))
+
+
+def reference_accepts(mat):
+    return reference_min_eigenvalue(mat) >= -1e-8
+
+
+def accepts(layout, mat):
+    try:
+        DensityOperator(layout, mat)
+    except RegisterError as exc:
+        assert str(exc).startswith("smallest eigenvalue"), exc
+        return False
+    return True
+
+
+def random_unitary(rng, d):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def planted_spectrum(rng, d, lowest):
+    """``d`` eigenvalues summing to 1, the smallest one equal to ``lowest``."""
+    rest = rng.uniform(0.5, 1.5, d - 1)
+    rest *= (1.0 - lowest) / rest.sum()
+    return np.concatenate([[lowest], rest])
+
+
+def sector_diagonal_state(rng, n, lowest):
+    """Random state on n qubits that is exactly block diagonal in the
+    excitation sectors; its smallest eigenvalue is ``lowest`` (in a random
+    sector)."""
+    d = 2**n
+    evals = rng.permutation(planted_spectrum(rng, d, lowest))
+    mat = np.zeros((d, d), dtype=complex)
+    start = 0
+    for idx in _sector_indices(n):
+        k = len(idx)
+        u = random_unitary(rng, k)
+        mat[np.ix_(idx, idx)] = (u * evals[start : start + k]) @ u.conj().T
+        start += k
+    return mat
+
+
+def dense_state(rng, d, lowest):
+    u = random_unitary(rng, d)
+    return (u * planted_spectrum(rng, d, lowest)) @ u.conj().T
+
+
+def rejected_lo(layout, mat):
+    with pytest.raises(RegisterError, match="smallest eigenvalue") as info:
+        DensityOperator(layout, mat)
+    text = str(info.value)
+    assert re.fullmatch(r"smallest eigenvalue \S+ below -1e-08", text), text
+    return float(text.split()[2])
+
+
+class TestBlockedPositivity:
+    """Sector blocks and the Cholesky pre-test decide exactly as one dense
+    ``eigvalsh`` of the Hermitian part."""
+
+    def test_random_sector_diagonal_states(self):
+        rng = np.random.default_rng(2024)
+        lows = [0.0, 1e-6, -1e-8 + 1e-9, -1e-8 - 1e-9, -1e-6, -1e-2]
+        decisions = set()
+        for trial in range(200):
+            n = 2 + trial % 7
+            mat = sector_diagonal_state(rng, n, lows[rng.integers(len(lows))])
+            layout = qubit_register(n)
+            assert len(_hermitian_blocks(layout, 0.5 * (mat + mat.conj().T))) == n + 1
+            decision = accepts(layout, mat)
+            assert decision == reference_accepts(mat)
+            decisions.add(decision)
+        assert decisions == {True, False}
+
+    @pytest.mark.parametrize("offset", [1e-10, -1e-10, 1e-11, -1e-11])
+    @pytest.mark.parametrize("register", ["qubits", "qutrit-ancilla"])
+    def test_planted_eigenvalue_at_the_floor(self, offset, register):
+        rng = np.random.default_rng(7)
+        if register == "qubits":
+            layout = qubit_register(6)
+            mat = sector_diagonal_state(rng, 6, -1e-8 + offset)
+            n_blocks = 7
+        else:
+            layout = system_with_ancilla(4)
+            mat = dense_state(rng, layout.dim, -1e-8 + offset)
+            n_blocks = 1
+        assert len(_hermitian_blocks(layout, 0.5 * (mat + mat.conj().T))) == n_blocks
+        assert accepts(layout, mat) == reference_accepts(mat) == (offset > 0)
+
+    @pytest.mark.parametrize("lowest", [0.0, -1e-8 + 1e-10, -1e-8 - 1e-10, -1e-3])
+    def test_one_tiny_cross_sector_entry_goes_dense(self, lowest):
+        rng = np.random.default_rng(11)
+        layout = qubit_register(5)
+        mat = sector_diagonal_state(rng, 5, lowest)
+        i, j = _sector_indices(5)[1][0], _sector_indices(5)[2][0]
+        mat[i, j] = 1e-300
+        mat[j, i] = 1e-300
+        assert len(_hermitian_blocks(layout, 0.5 * (mat + mat.conj().T))) == 1
+        assert accepts(layout, mat) == reference_accepts(mat)
+
+    @pytest.mark.parametrize("register", ["qubits", "qutrit-ancilla", "cross-sector"])
+    @pytest.mark.parametrize("lowest", [-1e-8 - 1e-10, -1e-5, -0.25])
+    def test_rejection_names_the_dense_smallest_eigenvalue(self, register, lowest):
+        rng = np.random.default_rng(13)
+        if register == "qutrit-ancilla":
+            layout = system_with_ancilla(3)
+            mat = dense_state(rng, layout.dim, lowest)
+        else:
+            layout = qubit_register(7)
+            mat = sector_diagonal_state(rng, 7, lowest)
+            if register == "cross-sector":
+                mat[0, -1] = mat[-1, 0] = 1e-14
+        lo = rejected_lo(layout, mat)
+        assert abs(lo - reference_min_eigenvalue(mat)) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    @pytest.mark.parametrize("where", ["diagonal", "in-sector", "cross-sector"])
+    def test_non_finite_entries_raise(self, bad, where):
+        rng = np.random.default_rng(17)
+        layout = qubit_register(4)
+        mat = sector_diagonal_state(rng, 4, 0.0)
+        i = _sector_indices(4)[2][0]
+        j = {"diagonal": i, "in-sector": _sector_indices(4)[2][1],
+             "cross-sector": _sector_indices(4)[3][0]}[where]
+        mat[i, j] = bad
+        with pytest.raises(RegisterError):
+            DensityOperator(layout, mat)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_dense_state_raises(self, bad):
+        layout = system_with_ancilla(2)
+        mat = dense_state(np.random.default_rng(19), layout.dim, 0.0)
+        mat[3, 5] = mat[5, 3] = bad
+        with pytest.raises(RegisterError):
+            DensityOperator(layout, mat)
