@@ -3,11 +3,12 @@ and parking, Choi matrices and fidelity measures.
 
 Life cycle of a local operation: it is built once as a validated
 :class:`Channel` on its own ions, multiplied out only by :func:`compose`, and
-applied to a register state through :func:`apply_embedded`, which checks sites."""
+applied through :func:`apply_embedded`, which checks sites and applies its cached superoperator."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -16,9 +17,10 @@ from .register import (
     DensityOperator,
     PureState,
     RegisterLayout,
-    apply_local_kraus,
+    apply_local_superop,
     check_sites,
     embed_operator,
+    kraus_superop,
     kron_product,
     qubit_operator,
 )
@@ -56,6 +58,11 @@ class Channel:
     @property
     def dim(self) -> int:
         return self.layout.dim
+
+    @cached_property
+    def superop(self) -> np.ndarray:
+        """Row-major superoperator of the channel, folded once per instance."""
+        return kraus_superop(self.kraus_ops)
 
 
 @dataclass(frozen=True)
@@ -99,7 +106,7 @@ def apply_embedded(
     target = tuple(rho.layout.ion_dims[s] for s in sites)
     if target != dims:
         raise ChannelError(f"channel ions {dims} do not fit register sites {target}")
-    out = apply_local_kraus(rho.matrix, channel.kraus_ops, sites, rho.layout.ion_dims)
+    out = apply_local_superop(rho.matrix, channel.superop, sites, rho.layout.ion_dims)
     return DensityOperator(rho.layout, out)
 
 
@@ -238,12 +245,9 @@ def park_channel(layout: RegisterLayout, ion: int, source_level: int) -> Channel
 
 
 def choi(channel: Channel) -> ChoiMatrix:
-    """Unit-trace Choi state (E (x) id applied to the maximally entangled state)."""
+    """Unit-trace Choi state (E (x) id on the maximally entangled state), a reshuffled superop."""
     d = channel.dim
-    mat = np.zeros((d * d, d * d), dtype=complex)
-    for k in channel.kraus_ops:
-        v = k.reshape(-1)
-        mat += np.outer(v, v.conj())
+    mat = channel.superop.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     return ChoiMatrix(mat / d, d)
 
 

@@ -40,11 +40,12 @@ from .gateset import (
 )
 from .maps import (
     DissipativeMapSpec,
+    HamiltonianMapSpec,
     apply_dissipative_map,
     apply_hamiltonian_map,
     composite_dissipative_sweep,
     elementary_dissipative_map,
-    interaction_hamiltonian,
+    hamiltonian_map,
 )
 from .observables import (
     ObservableReport,
@@ -101,14 +102,25 @@ def _tokenize_schedule(text: str) -> list[str]:
     return words
 
 
-def _parse_items(words: list[str], pos: int, depth: int) -> tuple[list[tuple], int]:
-    items: list[tuple] = []
+def parse_schedule(text: str) -> tuple[tuple, ...]:
+    """Parse and flatten a schedule block into executable tokens; open REPEAT
+    blocks sit on an explicit ``(count, items)`` stack, not on the call stack."""
+    words = _tokenize_schedule(text)
+    blocks: list[tuple[int, list[tuple]]] = [(1, [])]
+    pos = 0
     while pos < len(words):
         w = words[pos]
+        items = blocks[-1][1]
         if w == "}":
-            if depth == 0:
+            if len(blocks) == 1:
                 raise ConfigError(f"schedule token {pos}: unmatched '}}'")
-            return items, pos
+            count, body = blocks.pop()
+            outer = blocks[-1][1]
+            if len(outer) + len(body) * count > MAX_SCHEDULE_STEPS:
+                raise ConfigError(f"schedule exceeds {MAX_SCHEDULE_STEPS} steps")
+            outer.extend(body * count)
+            pos += 1
+            continue
         if w == "REPEAT":
             if pos + 2 >= len(words) or words[pos + 2] != "{":
                 raise ConfigError(f"schedule token {pos}: REPEAT k {{ ... }} expected")
@@ -120,11 +132,8 @@ def _parse_items(words: list[str], pos: int, depth: int) -> tuple[list[tuple], i
                 ) from None
             if count < 1:
                 raise ConfigError(f"schedule token {pos + 1}: REPEAT count must be >= 1")
-            body, pos = _parse_items(words, pos + 3, depth + 1)
-            if len(items) + len(body) * count > MAX_SCHEDULE_STEPS:
-                raise ConfigError(f"schedule exceeds {MAX_SCHEDULE_STEPS} steps")
-            items.extend(body * count)
-            pos += 1
+            blocks.append((count, []))
+            pos += 3
             continue
         if w == "SWEEP":
             items.append(("SWEEP", None))
@@ -157,15 +166,9 @@ def _parse_items(words: list[str], pos: int, depth: int) -> tuple[list[tuple], i
             pos += 2
             continue
         raise ConfigError(f"schedule token {pos}: unknown token {w!r}")
-    if depth != 0:
+    if len(blocks) != 1:
         raise ConfigError("schedule ended inside a REPEAT block")
-    return items, pos
-
-
-def parse_schedule(text: str) -> tuple[tuple, ...]:
-    """Parse and flatten a schedule block into executable tokens."""
-    items, _ = _parse_items(_tokenize_schedule(text), 0, 0)
-    return tuple(items)
+    return tuple(blocks[0][1])
 
 
 # --- config ------------------------------------------------------------------
@@ -217,11 +220,12 @@ def _parse_bool(value: str, key: str) -> bool:
 
 
 def parse_config(path: str | Path, strict: bool = False) -> RunConfig:
-    """Read and validate a run configuration file."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
-    return parse_config_text(path.read_text(), strict=strict)
+    """Read and validate a UTF-8 run configuration file."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path}: {exc}") from None
+    return parse_config_text(text, strict=strict)
 
 
 # ``schedule`` as a whole word; ``schedule_x = 3`` is an unknown key.
@@ -384,8 +388,6 @@ def dump_state(rho: DensityOperator, path: Path) -> None:
 
 def load_state(path: Path) -> DensityOperator:
     """Read a :func:`dump_state` file; any defect in it raises :class:`ConfigError`."""
-    if not path.exists():
-        raise ConfigError(f"state file {path} does not exist")
     try:
         payload = json.loads(path.read_text())
         layout = RegisterLayout(
@@ -397,7 +399,7 @@ def load_state(path: Path) -> DensityOperator:
         return DensityOperator(layout, entries.reshape(layout.dim, layout.dim))
     except KeyError as exc:
         raise ConfigError(f"state file {path}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
         raise ConfigError(f"state file {path}: {exc}") from None
 
 
@@ -680,7 +682,7 @@ _TARGET_CHECKS = {
     "swap": _verify_swap,
     "hamiltonian_3spin": partial(
         _verify_unitary,
-        target=np.diag(np.exp(-1j * (pi / 2) * np.diag(interaction_hamiltonian(3)))),
+        target=hamiltonian_map(HamiltonianMapSpec(pi / 2), 3).kraus_ops[0],
         label="composite Hamiltonian map, phi = pi/2",
     ),
     "single_dissipative_map": _verify_single_map,
@@ -693,16 +695,16 @@ def verify_sequences(directory: str | Path) -> dict:
     Per file: parse status, serialization round-trip, unitarity of the
     interpreted sequence (or CPTP status when resets are present), and the
     best fidelity against a nominal target where one is registered.
-    Parse failures and tables the target check cannot interpret are reported
-    per file and are non-fatal.
+    Unreadable or non-UTF-8 files, parse failures and tables the target check
+    cannot interpret are reported per file and are non-fatal.
     """
     directory = Path(directory)
     entries = []
     for path in sorted(directory.glob("*.txt")):
         entry: dict = {"file": path.name}
         try:
-            seq = parse_sequence(path.read_text())
-        except SequenceSyntaxError as exc:
+            seq = parse_sequence(path.read_text(encoding="utf-8"))
+        except (OSError, SequenceSyntaxError, UnicodeDecodeError) as exc:
             entry["parse_ok"] = False
             entry["error"] = str(exc)
             entries.append(entry)
@@ -754,18 +756,9 @@ def analytics_order_table(max_n: int) -> str:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        config = parse_config(args.config, strict=args.strict)
-    except (ConfigError, SequenceSyntaxError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    config = parse_config(args.config, strict=args.strict)
     out_dir = Path(args.out if args.out is not None else config.out or ".")
-    stem = Path(args.config).stem
-    try:
-        reports, csv_path = run_to_files(config, out_dir, stem, args.dump_states)
-    except InvariantViolation as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+    reports, csv_path = run_to_files(config, out_dir, Path(args.config).stem, args.dump_states)
     final = reports[-1] if reports else None
     if final is not None:
         print(
@@ -780,12 +773,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     directory = Path(args.directory)
     if not directory.is_dir():
-        print(f"config error: {directory} is not a directory", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"{directory} is not a directory")
+    out_path = Path(args.out) / "sequence_report.json"
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     report = verify_sequences(directory)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "sequence_report.json"
     out_path.write_text(json.dumps(report, sort_keys=True, indent=1) + "\n")
     for entry in report["files"]:
         status = "ok" if entry.get("parse_ok") else f"PARSE ERROR: {entry.get('error')}"
@@ -801,8 +792,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_analytics(args: argparse.Namespace) -> int:
     if args.command != "order":
-        print(f"config error: unknown analytics command {args.command!r}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"unknown analytics command {args.command!r}")
     sys.stdout.write(analytics_order_table(args.max_n))
     return EXIT_OK
 
@@ -833,7 +823,14 @@ def main(argv: list[str] | None = None) -> int:
     p_ana.set_defaults(func=_cmd_analytics)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, OSError) as exc:  # OSError: a path the file system refuses
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except InvariantViolation as exc:
+        print(f"invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

@@ -4,10 +4,10 @@ stroboscopic maps.
 The stroboscopic sequence with small pumping angle theta and competition
 angle phi approaches d rho/dt = -i [U H, rho] + kappa L[rho] with one map
 step per unit time, U = phi and kappa = theta^2; the dimensionless
-competition ratio g = U/kappa = phi/theta^2 stays finite in the limit.  The
-right-hand side is taken in effective-Hamiltonian form, -i (H_eff rho - rho H_eff^dag)
-+ kappa sum_i c_i rho c_i^dag with H_eff = U H - (i kappa/2) sum_i c_i^dag c_i built
-once per integration and each jump applied pair-locally.
+competition ratio g = U/kappa = phi/theta^2 stays finite in the limit.  H, c_i
+and c_i^dag c_i are pair-local, so the Liouvillian is one 16x16 bond superoperator
+built once per integration and applied on every bond through the maps' local path
+(:func:`~spinmaps.register.apply_local_superop`); no register-sized operator is formed.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from .channels import trace_distance
 from .maps import (
     composite_dissipative_sweep,
     apply_hamiltonian_map,
-    interaction_hamiltonian,
+    pair_hamiltonian,
     pair_jump_operator,
     singlet_projector,
 )
-from .register import DensityOperator, RegisterError, apply_local_kraus, embed_operator
+from .register import DensityOperator, RegisterError, apply_local_superop, kraus_superop
 
 STABILITY_BOUND = 0.05
 TRACE_DRIFT_LIMIT = 1e-6
@@ -49,14 +49,15 @@ class MasterEqSpec:
             raise RegisterError("kappa must be non-negative")
 
 
-def _generators(spec: MasterEqSpec):
-    """H_eff = U H - (i kappa/2) sum_i c_i^dag c_i, the jump sqrt(kappa) c, the
-    bonds it acts on (none when kappa = 0) and the register dims."""
-    dims = (2,) * spec.n
-    bonds = [(i - 1, i) for i in range(1, spec.n)] if spec.kappa != 0.0 else []
-    h_eff = spec.u * interaction_hamiltonian(spec.n) - 0.5j * spec.kappa * sum(
-        embed_operator(singlet_projector(), bond, dims) for bond in bonds)  # c^dag c
-    return h_eff, np.sqrt(spec.kappa) * pair_jump_operator(), bonds, dims
+def _bond_rhs(spec: MasterEqSpec):
+    """rho -> sum over the open bonds b of L_b rho, with the row-major 16x16
+    L_b = -i U (h (x) 1 - 1 (x) h^T) + kappa (c (x) conj(c) - P (x) 1/2 - 1 (x) P^T/2),
+    h = |11><11| and P = c^dag c."""
+    h, c, p, one = pair_hamiltonian(), pair_jump_operator(), singlet_projector(), np.eye(4)
+    gen = -1j * spec.u * (np.kron(h, one) - np.kron(one, h.T)) + spec.kappa * (
+        kraus_superop((c,)) - 0.5 * np.kron(p, one) - 0.5 * np.kron(one, p.T))
+    bonds, dims = [(i - 1, i) for i in range(1, spec.n)], (2,) * spec.n
+    return lambda mat: sum(apply_local_superop(mat, gen, bond, dims) for bond in bonds)
 
 
 def liouvillian_apply(rho: DensityOperator, spec: MasterEqSpec) -> np.ndarray:
@@ -64,14 +65,7 @@ def liouvillian_apply(rho: DensityOperator, spec: MasterEqSpec) -> np.ndarray:
 
     Traceless for any input; vanishes on Dicke dark states when U = 0.
     """
-    return _rhs(rho.matrix, *_generators(spec))
-
-
-def _rhs(mat, h_eff, jump, bonds, dims) -> np.ndarray:
-    out = -1j * (h_eff @ mat - mat @ h_eff.conj().T)
-    for bond in bonds:
-        out += apply_local_kraus(mat, (jump,), bond, dims)
-    return out
+    return _bond_rhs(spec)(rho.matrix)
 
 
 def integrate(
@@ -94,14 +88,14 @@ def integrate(
     steps = max(1, int(np.ceil(t_final / dt - 1e-9))) if t_final > 0 else 0
     if steps:
         dt = t_final / steps
-    gens = _generators(spec)
+    rhs = _bond_rhs(spec)
     mat = rho0.matrix.copy()
     traj = [rho0]
     for _ in range(steps):
-        k1 = _rhs(mat, *gens)
-        k2 = _rhs(mat + 0.5 * dt * k1, *gens)
-        k3 = _rhs(mat + 0.5 * dt * k2, *gens)
-        k4 = _rhs(mat + dt * k3, *gens)
+        k1 = rhs(mat)
+        k2 = rhs(mat + 0.5 * dt * k1)
+        k3 = rhs(mat + 0.5 * dt * k2)
+        k4 = rhs(mat + dt * k3)
         mat = mat + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         mat = 0.5 * (mat + mat.conj().T)
         tr = float(np.real(np.trace(mat)))

@@ -29,7 +29,7 @@ from .channels import (
 from .register import (
     DensityOperator,
     RegisterError,
-    apply_local_kraus,
+    apply_local_superop,
     basis_bits,
     embed_operator,
     qubit_register,
@@ -52,6 +52,11 @@ def pair_jump_operator() -> np.ndarray:
 def singlet_projector() -> np.ndarray:
     """c^dag c = |singlet><singlet| on a pair of spins."""
     return np.outer(_SINGLET, _SINGLET.conj())
+
+
+def pair_hamiltonian() -> np.ndarray:
+    """Bond term H_i = |11><11| of the interaction Hamiltonian on a pair of spins."""
+    return np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -181,7 +186,7 @@ def interaction_hamiltonian(n: int, periodic: bool = False) -> np.ndarray:
 
 def _pair_interaction_unitary(phi: float) -> np.ndarray:
     """exp(-i phi H_i) on one pair: phase e^{-i phi} on |11>."""
-    return np.diag([1.0, 1.0, 1.0, np.exp(-1j * phi)]).astype(complex)
+    return np.diag(np.exp(-1j * phi * np.diag(pair_hamiltonian())))
 
 
 def elementary_hamiltonian_map(phi: float, epsilon_coh: float = 0.0) -> Channel:
@@ -228,25 +233,18 @@ def _sweep_sites(n: int, periodic: bool) -> list[int]:
     return list(range(1, n + 1 if periodic else n))
 
 
-@lru_cache(maxsize=64)
-def _cached_dissipative_kraus(theta: float, epsilon: float) -> tuple[np.ndarray, ...]:
-    return elementary_dissipative_map(DissipativeMapSpec(1, theta, epsilon)).kraus_ops
+# Sweeps reuse one pair channel, and with it its folded superoperator.
+_cached_dissipative_map = lru_cache(maxsize=64)(elementary_dissipative_map)
+_cached_hamiltonian_map = lru_cache(maxsize=64)(elementary_hamiltonian_map)
 
 
-@lru_cache(maxsize=64)
-def _cached_hamiltonian_kraus(phi: float, epsilon_coh: float) -> tuple[np.ndarray, ...]:
-    return elementary_hamiltonian_map(phi, epsilon_coh).kraus_ops
-
-
-def _pair_sweep(
-    rho: DensityOperator, kraus: tuple[np.ndarray, ...], periodic: bool
-) -> DensityOperator:
-    """Apply one pair Kraus set on every sweep pair in order, then re-Hermitize."""
+def _pair_sweep(rho: DensityOperator, channel: Channel, periodic: bool) -> DensityOperator:
+    """Apply one pair channel on every sweep pair in order, then re-Hermitize."""
     n = rho.layout.n_ions
     mat = rho.matrix
     for site in _sweep_sites(n, periodic):
         ions = _sites_to_ions(site, n, periodic)
-        mat = apply_local_kraus(mat, kraus, ions, rho.layout.ion_dims)
+        mat = apply_local_superop(mat, channel.superop, ions, rho.layout.ion_dims)
     return DensityOperator(rho.layout, 0.5 * (mat + mat.conj().T))
 
 
@@ -265,7 +263,7 @@ def composite_dissipative_sweep(
     """Apply the elementary maps D_{1,2}, ..., D_{N-1,N} left to right."""
     if rho.layout.n_ions < 2:
         raise RegisterError("sweep needs at least two spins")
-    return _pair_sweep(rho, _cached_dissipative_kraus(theta, epsilon), periodic)
+    return _pair_sweep(rho, _cached_dissipative_map(DissipativeMapSpec(1, theta, epsilon)), periodic)
 
 
 def apply_hamiltonian_map(
@@ -279,7 +277,7 @@ def apply_hamiltonian_map(
     With epsilon_coh = 0 this equals conjugation by the global diagonal
     unitary exp(-i phi H) since the elementary maps commute.
     """
-    return _pair_sweep(rho, _cached_hamiltonian_kraus(phi, epsilon_coh), periodic)
+    return _pair_sweep(rho, _cached_hamiltonian_map(phi, epsilon_coh), periodic)
 
 
 def composite_map(

@@ -13,8 +13,9 @@ Conventions used throughout the package:
   span{|0>, |1>} and annihilate ``|2>``, except gate unitaries, which keep
   it; identity factors keep ``|2>`` untouched.
 * :func:`embed_operator` is the one embedder of a local operator into the
-  register and :func:`apply_local_kraus` the one local apply path; a
-  unitary ``U`` is applied as the Kraus set ``(U,)``.
+  register and :func:`apply_local_superop` the one local apply path.
+* This module owns the superoperator convention, row-major ``A rho B <-> A (x) B^T``;
+  only :func:`kraus_superop` folds a Kraus set, ``sum K (x) conj(K)``.
 * :class:`DensityOperator` judges positivity block by block.  On an
   all-qubit register whose Hermitian part ``H`` passes the exact count test
   ``count_nonzero(H) == sum(count_nonzero(block))`` over the excitation
@@ -393,31 +394,37 @@ def embed_operator(
     return t.transpose(np.argsort(ket + bra)).reshape(d, d)
 
 
-def apply_local_kraus(
-    rho_mat: np.ndarray,
-    kraus: Iterable[np.ndarray],
-    sites: Sequence[int],
-    dims: Sequence[int],
-) -> np.ndarray:
-    """Apply ``rho -> sum_k K rho K^dag`` with every K supported on ``sites``.
+def kraus_superop(kraus: Iterable[np.ndarray]) -> np.ndarray:
+    """Row-major superoperator ``sum_k K (x) conj(K)`` of ``rho -> sum_k K rho K^dag``."""
+    return sum(np.kron(k, k.conj()) for k in kraus)
 
-    The Kraus sum is contracted as a single superoperator on the local
-    factor, so the full state is permuted only once per channel
-    application.
-    """
+
+def apply_local_superop(
+    rho_mat: np.ndarray, superop: np.ndarray, sites: Sequence[int], dims: Sequence[int]
+) -> np.ndarray:
+    """Apply a row-major superoperator of shape ``(d_loc**2, d_loc**2)`` supported
+    on ``sites``; the full state is permuted only once per application."""
     dims = tuple(dims)
     ket, bra = _moved_axes(len(dims), sites)
     d = int(np.prod(dims))
     d_loc = int(np.prod([dims[s] for s in sites]))
+    if superop.shape != (d_loc * d_loc, d_loc * d_loc):
+        raise RegisterError(f"superoperator shape {superop.shape} does not fit sites {sites}")
     d_rest = d // d_loc
     perm = ket + bra
     t = rho_mat.reshape(dims + dims).transpose(perm)
     t = t.reshape(d_loc, d_rest, d_loc, d_rest).transpose(0, 2, 1, 3)
     t = t.reshape(d_loc * d_loc, d_rest * d_rest)
-    superop = sum(np.kron(k, k.conj()) for k in kraus)
     t = (superop @ t).reshape(d_loc, d_loc, d_rest, d_rest).transpose(0, 2, 1, 3)
     t = t.reshape([dims[i] for i in ket] * 2)
     return t.transpose(np.argsort(perm)).reshape(d, d)
+
+
+def apply_local_kraus(
+    rho_mat: np.ndarray, kraus: Iterable[np.ndarray], sites: Sequence[int], dims: Sequence[int]
+) -> np.ndarray:
+    """Apply ``rho -> sum_k K rho K^dag`` with every K supported on ``sites``."""
+    return apply_local_superop(rho_mat, kraus_superop(kraus), sites, dims)
 
 
 def partial_trace(rho: DensityOperator, ions: Iterable[int]) -> DensityOperator:

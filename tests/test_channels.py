@@ -194,6 +194,15 @@ class TestChoiAndFidelities:
         phi = np.array([1, 0, 0, 1]) / np.sqrt(2)
         assert np.allclose(c, np.outer(phi, phi.conj()), atol=1e-14)
 
+    @pytest.mark.parametrize("dims,n_kraus", [((2,), 1), ((2,), 3), ((2, 2), 4), ((3, 2), 2)])
+    def test_choi_is_the_outer_product_sum_bitwise(self, dims, n_kraus):
+        ch = random_channel(RegisterLayout(dims), n_kraus, seed=n_kraus)
+        d = ch.dim
+        mat = np.zeros((d * d, d * d), dtype=complex)
+        for k in ch.kraus_ops:
+            mat += np.outer(k.reshape(-1), k.reshape(-1).conj())
+        assert choi(ch).matrix.tobytes() == (mat / d).tobytes()
+
     def test_process_fidelity_of_identical_channels(self):
         ch = elementary_dissipative_map(DissipativeMapSpec(1))
         assert process_fidelity(choi(ch), choi(ch)) == pytest.approx(1.0, abs=1e-10)

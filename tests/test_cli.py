@@ -478,3 +478,62 @@ class TestDumpStateBytes:
         rho = SimpleNamespace(layout=qubit_register(1), matrix=mat)
         dump_state(rho, tmp_path / "s.json")
         assert (tmp_path / "s.json").read_text() == self.comprehension_dump(rho)
+
+
+class TestDeepRepeatNesting:
+    DEEP = "REPEAT 1 { " * 1200 + "SWEEP" + " }" * 1200
+
+    def test_parses_without_recursion(self):
+        assert parse_schedule(self.DEEP) == (("SWEEP", None),)
+        with pytest.raises(ConfigError, match="inside a REPEAT block"):
+            parse_schedule(self.DEEP[:-2])
+
+    def test_run_exits_0_and_unterminated_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "deep.cfg"
+        cfg.write_text(f"N = 3\nm0 = 1\ninitial = 100\nschedule {{ {self.DEEP} }}\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        cfg.write_text(f"N = 3\nm0 = 1\ninitial = 100\nschedule {{ {self.DEEP[:-2]} }}\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "config error: unterminated schedule block" in capsys.readouterr().err
+
+
+class TestFileSystemInputs:
+    """Paths the file system refuses end with exit code 2 and a message."""
+
+    def run(self, capsys, *argv):
+        code = main(list(argv))
+        return code, capsys.readouterr().err
+
+    def test_config_path_is_a_directory(self, tmp_path, capsys):
+        code, err = self.run(capsys, "run", str(tmp_path))
+        assert code == 2 and "config error" in err and str(tmp_path) in err
+
+    def test_config_file_is_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(PUMP_CFG.encode() + b"# r\xe9sum\xe9\n")
+        with pytest.raises(ConfigError, match="utf-8"):
+            parse_config(cfg)
+        code, err = self.run(capsys, "run", str(cfg), "--out", str(tmp_path / "out"))
+        assert code == 2 and "utf-8" in err
+
+    def test_initial_state_file_is_a_directory(self, tmp_path, capsys):
+        cfg = tmp_path / "dir_state.cfg"
+        cfg.write_text(f"N = 3\nm0 = 1\ninitial = file:{tmp_path}\nschedule {{ SWEEP }}\n")
+        with pytest.raises(ConfigError, match="state file"):
+            load_state(tmp_path)
+        code, err = self.run(capsys, "run", str(cfg), "--out", str(tmp_path / "out"))
+        assert code == 2 and "state file" in err
+
+    def test_run_out_is_an_existing_file(self, tmp_path, capsys):
+        cfg = tmp_path / "pump.cfg"
+        cfg.write_text(PUMP_CFG)
+        (tmp_path / "taken").write_text("")
+        code, err = self.run(capsys, "run", str(cfg), "--out", str(tmp_path / "taken"))
+        assert code == 2 and "config error" in err and "taken" in err
+
+    def test_verify_out_is_an_existing_file(self, tmp_path, capsys):
+        (tmp_path / "tables").mkdir()
+        (tmp_path / "taken").write_text("")
+        code, err = self.run(capsys, "verify-sequences", str(tmp_path / "tables"),
+                             "--out", str(tmp_path / "taken"))
+        assert code == 2 and "config error" in err and "taken" in err

@@ -139,8 +139,8 @@ def dense_liouvillian(rho, n, u, kappa):
 
 
 class TestEffectiveHamiltonianForm:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    @pytest.mark.parametrize("u,kappa", [(0.7, 1.3), (0.0, 0.9), (1.1, 0.0)])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("u,kappa", [(0.7, 1.3), (0.0, 0.9), (1.1, 0.0), (0.0, 0.0)])
     def test_matches_dense_jump_reference(self, n, u, kappa):
         rng = np.random.default_rng(10 * n)
         vec = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)

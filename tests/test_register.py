@@ -9,10 +9,12 @@ from spinmaps.register import (
     RegisterError,
     RegisterLayout,
     apply_local_kraus,
+    apply_local_superop,
     basis_state,
     embed,
     embed_operator,
     expectation,
+    kraus_superop,
     lift_qubit_operator,
     multiply,
     partial_trace,
@@ -275,6 +277,14 @@ class TestUnitaryAsKrausEquivalence:
         e = embed_operator(q, sites, dims)
         out = apply_local_kraus(rho, (q,), sites, dims)
         assert np.max(np.abs(out - e @ rho @ e.conj().T)) <= 1e-12
+        superop_out = apply_local_superop(rho, kraus_superop((q,)), sites, dims)
+        assert superop_out.tobytes() == out.tobytes()
+
+    def test_superoperator_of_the_wrong_shape(self):
+        rho = basis_state(qubit_register(3), [1, 0, 1]).density().matrix
+        for sites, superop in [((0,), np.eye(16)), ((0, 2), np.eye(4)), ((1, 2), np.eye(15))]:
+            with pytest.raises(RegisterError, match="superoperator shape"):
+                apply_local_superop(rho, superop, sites, (2, 2, 2))
 
 
 
@@ -293,6 +303,8 @@ _SITE_ENTRY_POINTS = {
         np.eye(2 ** len(sites)), sites, rho.layout.ion_dims),
     "apply_local_kraus": lambda rho, sites: apply_local_kraus(
         rho.matrix, (np.eye(2 ** len(sites)),), sites, rho.layout.ion_dims),
+    "apply_local_superop": lambda rho, sites: apply_local_superop(
+        rho.matrix, kraus_superop((np.eye(2 ** len(sites)),)), sites, rho.layout.ion_dims),
     "apply_embedded": lambda rho, sites: apply_embedded(
         _local_channel(len(sites)), rho, sites),
     "park_from": lambda rho, sites: park_from(rho, *sites, source_level=1),
@@ -307,7 +319,8 @@ class TestSiteValidation:
         with pytest.raises(RegisterError, match="distinct ions"):
             _SITE_ENTRY_POINTS[entry](rho, (site,))
 
-    @pytest.mark.parametrize("entry", ["embed_operator", "apply_local_kraus", "apply_embedded"])
+    @pytest.mark.parametrize(
+        "entry", ["embed_operator", "apply_local_kraus", "apply_local_superop", "apply_embedded"])
     @pytest.mark.parametrize("sites", [(1, 1), (2, 2), (0, 3), (-1, 1)])
     def test_repeated_or_bad_pair(self, entry, sites):
         rho = basis_state(qubit_register(3), [1, 0, 1]).density()

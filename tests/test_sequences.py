@@ -119,6 +119,14 @@ class TestVerifyDirectory:
         assert swap["unitary_ok"] is True
         assert swap["reference"]["fidelity"] >= 1 - 1e-9
 
+    def test_non_utf8_table_is_a_per_file_parse_failure(self, tmp_path):
+        (tmp_path / "ancilla_reset.txt").write_text((TABLES / "ancilla_reset.txt").read_text())
+        (tmp_path / "latin1.txt").write_bytes(b"R(0.5, 0.0)  # r\xe9sum\xe9\n")
+        by_name = {e["file"]: e for e in verify_sequences(tmp_path)["files"]}
+        assert by_name["latin1.txt"]["parse_ok"] is False
+        assert "utf-8" in by_name["latin1.txt"]["error"]
+        assert by_name["ancilla_reset.txt"]["channel_ok"] is True
+
     def test_empty_directory_gives_empty_report(self, tmp_path):
         report = verify_sequences(tmp_path)
         assert report["files"] == []
