@@ -22,6 +22,7 @@ from functools import partial
 from itertools import permutations
 from math import pi
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 from scipy.optimize import minimize
@@ -89,8 +90,15 @@ class InvariantViolation(RuntimeError):
 
 # --- schedule ----------------------------------------------------------------
 
-# Longest flattened schedule; REPEAT blocks are expanded eagerly.
+# Longest flattened schedule.  REPEAT blocks are expanded eagerly into one
+# tuple of tokens, checked before each block is multiplied out; a run holds
+# one state at a time, so this tuple and its reports are all that grow with
+# the schedule length.
 MAX_SCHEDULE_STEPS = 1_000_000
+
+# Largest register: one N = 14 state is 4.3 GB, and a run holds a few of them
+# at once.  A larger N is a configuration error before anything is allocated.
+MAX_N = 14
 
 
 def _tokenize_schedule(text: str) -> list[str]:
@@ -316,6 +324,8 @@ def parse_config_text(text: str, strict: bool = False) -> RunConfig:
 def _validate_config(config: RunConfig) -> None:
     if config.n < 2:
         raise ConfigError("N must be at least 2")
+    if config.n > MAX_N:
+        raise ConfigError(f"N = {config.n} exceeds the largest supported register, N = {MAX_N}")
     if not 0 <= config.m0 <= config.n:
         raise ConfigError(f"m0 {config.m0} out of range for N={config.n}")
     if not 0.0 <= config.theta <= 0.5 + 1e-12:
@@ -443,16 +453,16 @@ def _observe(
     )
 
 
-def execute(config: RunConfig) -> tuple[list[ObservableReport], list[DensityOperator]]:
-    """Run the schedule, returning one report (and state) per executed token.
+def run_steps(config: RunConfig) -> Iterator[tuple[ObservableReport, DensityOperator]]:
+    """Run the schedule lazily, yielding ``(report, state)`` once per token.
 
-    Raises :class:`InvariantViolation` with the offending step and invariant
-    if a state check fails.
+    Only the current state is held: a consumer that drops each state before
+    asking for the next keeps the run's memory bounded by the state size,
+    not by the schedule length.  Raises :class:`InvariantViolation` with the
+    offending step and invariant if a state check fails.
     """
     rho = initial_state(config)
     theta = config.theta * pi
-    reports: list[ObservableReport] = []
-    states: list[DensityOperator] = []
     for step, (kind, arg) in enumerate(config.schedule, start=1):
         label = _token_label(kind, arg, config)
         success: float | None = None
@@ -483,9 +493,24 @@ def execute(config: RunConfig) -> tuple[list[ObservableReport], list[DensityOper
                 rho = partial_trace(fn(_with_ancilla(rho), arg), [0])
             else:  # pragma: no cover - parse_schedule rejects unknown tokens
                 raise ConfigError(f"unknown schedule token {kind!r}")
-            reports.append(_observe(rho, step, label, config, success))
+            report = _observe(rho, step, label, config, success)
         except RegisterError as exc:
             raise InvariantViolation(f"step {step} ({label}): {exc}") from exc
+        yield report, rho
+
+
+def execute(config: RunConfig) -> tuple[list[ObservableReport], list[DensityOperator]]:
+    """Run the schedule, returning one report and one state per executed token.
+
+    Collects :func:`run_steps`, so it holds every state of the run; use
+    :func:`run_to_files` (or :func:`run_steps`) where memory matters.
+    Raises :class:`InvariantViolation` with the offending step and invariant
+    if a state check fails.
+    """
+    reports: list[ObservableReport] = []
+    states: list[DensityOperator] = []
+    for report, rho in run_steps(config):
+        reports.append(report)
         states.append(rho)
     return reports, states
 
@@ -532,17 +557,23 @@ def _config_echo(config: RunConfig) -> dict:
 def run_to_files(
     config: RunConfig, out_dir: Path, stem: str, dump_states: bool = False
 ) -> tuple[list[ObservableReport], Path]:
-    """Execute a config and write <stem>.csv / <stem>.json (and state dumps)."""
+    """Execute a config and write <stem>.csv / <stem>.json (and state dumps).
+
+    The run streams: each state dump is written as soon as its step is done
+    and the state is dropped, so one live state is held whatever the schedule
+    length.  The CSV and JSON are written from the kept reports once the run
+    ends.  If a step raises :class:`InvariantViolation`, the dumps of the
+    completed steps stay on disk and no CSV or JSON is written.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
-    reports, states = execute(config)
     dump = dump_states or config.dump_states
-    if dump:
-        dumped = []
-        for r, state in zip(reports, states):
-            name = f"{stem}_state_{r.step:04d}.json"
-            dump_state(state, out_dir / name)
-            dumped.append(replace(r, state_dump=name))
-        reports = dumped
+    reports: list[ObservableReport] = []
+    for report, rho in run_steps(config):
+        if dump:
+            name = f"{stem}_state_{report.step:04d}.json"
+            dump_state(rho, out_dir / name)
+            report = replace(report, state_dump=name)
+        reports.append(report)
     csv_path = out_dir / f"{stem}.csv"
     csv_path.write_text(reports_to_csv(reports, config))
     payload = {

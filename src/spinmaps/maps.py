@@ -245,7 +245,12 @@ def _pair_sweep(rho: DensityOperator, channel: Channel, periodic: bool) -> Densi
     for site in _sweep_sites(n, periodic):
         ions = _sites_to_ions(site, n, periodic)
         mat = apply_local_superop(mat, channel.superop, ions, rho.layout.ion_dims)
-    return DensityOperator(rho.layout, 0.5 * (mat + mat.conj().T))
+    # Re-Hermitized in place, so no d x d sum is held next to the fresh output.
+    if mat is rho.matrix:
+        mat = mat.copy()
+    mat += mat.conj().T
+    mat *= 0.5
+    return DensityOperator(rho.layout, mat)
 
 
 def apply_dissipative_map(rho: DensityOperator, spec: DissipativeMapSpec, periodic: bool = False) -> DensityOperator:

@@ -16,13 +16,17 @@ Conventions used throughout the package:
   register and :func:`apply_local_superop` the one local apply path.
 * This module owns the superoperator convention, row-major ``A rho B <-> A (x) B^T``;
   only :func:`kraus_superop` folds a Kraus set, ``sum K (x) conj(K)``.
-* :class:`DensityOperator` judges positivity block by block.  On an
-  all-qubit register whose Hermitian part ``H`` passes the exact count test
-  ``count_nonzero(H) == sum(count_nonzero(block))`` over the excitation
-  sectors, the blocks are those sectors (every map of the paper conserves
-  total S_z); any other state is one dense block.  Each block is first
-  tried by a Cholesky factorization just inside the floor, and ``eigvalsh``
-  decides when one fails.  The tolerances are the same on every path.
+* :class:`DensityOperator` validates block by block.  On an all-qubit
+  register whose matrix passes the exact count test
+  ``count_nonzero(mat) == sum(count_nonzero(block))`` over the excitation
+  sectors (every map of the paper conserves total S_z), the Hermiticity
+  residual, the Hermitian part ``H`` and positivity are all computed on
+  those sectors; no d x d temporary is made.  Any other matrix takes the
+  dense path, where the sectors are still used for positivity when ``H``
+  passes the count test; otherwise ``H`` is one dense block.  Each block is
+  first tried by a Cholesky factorization just inside the floor, and
+  ``eigvalsh`` decides when one fails.  The tolerances and messages are the
+  same on every path.
 """
 
 from __future__ import annotations
@@ -199,6 +203,12 @@ class DensityOperator:
     positivity (smallest eigenvalue of the Hermitian part ``H`` >= -1e-8);
     each check fails on NaN.
 
+    When ``mat`` itself passes the exact count test over the excitation
+    sectors of an all-qubit register (no entry outside them), the
+    Hermiticity residual and ``H`` are computed per sector; they equal the
+    dense values exactly, since every off-sector entry is zero.  Otherwise
+    both are computed densely, as is the trace on every path.
+
     Positivity is judged on a list of Hermitian blocks whose spectra together
     are the spectrum of ``H``.  On an all-qubit register the blocks are the
     excitation sectors, used only when the exact count test
@@ -221,19 +231,26 @@ class DensityOperator:
         d = self.layout.dim
         if mat.shape != (d, d):
             raise RegisterError(f"matrix shape {mat.shape} does not match dim {d}")
-        herm = np.max(np.abs(mat - mat.conj().T)) if d else 0.0
+        blocks = _sector_blocks(self.layout, mat)
+        if blocks is None:
+            herm = np.max(np.abs(mat - mat.conj().T)) if d else 0.0
+        else:
+            herm = np.max([np.max(np.abs(b - b.conj().T)) for b in blocks])
         if not herm <= HERMITICITY_TOL:
             raise RegisterError(f"matrix deviates from Hermitian by {herm}")
         tr = np.trace(mat)
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise RegisterError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
-        # The Hermitian part is built in the adjoint's own buffer, after the
-        # residual, so validation never holds more than two extra d x d
-        # arrays; sharing one adjoint with the residual would hold more.
-        h = mat.conj().T
-        h += mat
-        h *= 0.5
-        blocks = _hermitian_blocks(self.layout, h)
+        if blocks is None:
+            # The Hermitian part is built in the adjoint's own buffer, after
+            # the residual, so validation never holds more than two extra
+            # d x d arrays; sharing one adjoint with the residual would hold more.
+            h = mat.conj().T
+            h += mat
+            h *= 0.5
+            blocks = _hermitian_blocks(self.layout, h)
+        else:
+            blocks = [0.5 * (b + b.conj().T) for b in blocks]
         if all(_clears_floor(block) for block in blocks):
             return
         lo = float(np.min(np.concatenate([np.linalg.eigvalsh(b) for b in blocks])))
@@ -250,15 +267,22 @@ class DensityOperator:
 _CHOLESKY_SHIFT = -POSITIVITY_FLOOR - 1e-10
 
 
+def _sector_blocks(layout: RegisterLayout, m: np.ndarray) -> list[np.ndarray] | None:
+    """Excitation-sector diagonal blocks of ``m`` on an all-qubit register when
+    the exact count test ``count_nonzero(m) == sum(count_nonzero(block))``
+    shows every nonzero (or NaN) entry inside them, otherwise ``None``."""
+    if set(layout.ion_dims) != {2}:
+        return None
+    blocks = [m[np.ix_(idx, idx)] for idx in _sector_indices(layout.n_ions)]
+    if sum(np.count_nonzero(b) for b in blocks) == np.count_nonzero(m):
+        return blocks
+    return None
+
+
 def _hermitian_blocks(layout: RegisterLayout, h: np.ndarray) -> list[np.ndarray]:
     """Diagonal blocks of the Hermitian ``h`` whose spectra together are its
-    spectrum: the excitation sectors of an all-qubit register when every
-    nonzero entry of ``h`` lies in one of them, otherwise ``[h]``."""
-    if set(layout.ion_dims) == {2}:
-        blocks = [h[np.ix_(idx, idx)] for idx in _sector_indices(layout.n_ions)]
-        if sum(np.count_nonzero(b) for b in blocks) == np.count_nonzero(h):
-            return blocks
-    return [h]
+    spectrum: its :func:`_sector_blocks` when the count test holds, else ``[h]``."""
+    return _sector_blocks(layout, h) or [h]
 
 
 def _clears_floor(block: np.ndarray) -> bool:

@@ -537,3 +537,146 @@ class TestFileSystemInputs:
         code, err = self.run(capsys, "verify-sequences", str(tmp_path / "tables"),
                              "--out", str(tmp_path / "taken"))
         assert code == 2 and "config error" in err and "taken" in err
+
+
+import tracemalloc  # noqa: E402
+from dataclasses import replace  # noqa: E402
+
+import spinmaps.cli as cli_module  # noqa: E402
+from spinmaps.cli import MAX_N, _config_echo, run_steps  # noqa: E402
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def collect_then_write(config, out_dir, stem, dump_states=False):
+    """The writer of the previous release, kept here as the reference: run the
+    whole schedule, holding every state, then write dumps, CSV and JSON."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    reports, states = execute(config)
+    dump = dump_states or config.dump_states
+    if dump:
+        dumped = []
+        for r, state in zip(reports, states):
+            name = f"{stem}_state_{r.step:04d}.json"
+            dump_state(state, out_dir / name)
+            dumped.append(replace(r, state_dump=name))
+        reports = dumped
+    csv_path = out_dir / f"{stem}.csv"
+    csv_path.write_text(reports_to_csv(reports, config))
+    payload = {
+        "config": _config_echo(config),
+        "reports": [
+            {
+                "step": r.step,
+                "token": r.label,
+                "fidelity": r.dicke_fidelity,
+                "purity": r.purity,
+                "populations": list(r.populations),
+                "offdiag": r.offdiag,
+                "success_prob": r.success_prob,
+                "state_dump": r.state_dump,
+            }
+            for r in reports
+        ],
+    }
+    (out_dir / f"{stem}.json").write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    return reports, csv_path
+
+
+def tree_bytes(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+class TestStreamingRun:
+    """``run_to_files`` holds one live state and writes each dump when its
+    step is done; its files are those of the collect-then-write reference."""
+
+    @pytest.mark.parametrize("dump", [False, True])
+    @pytest.mark.parametrize(
+        "stem", ["competition_3spin", "pump_10spin_noisy", "pump_3spin", "stabilize_3spin"]
+    )
+    def test_files_equal_the_collect_then_write_reference(self, tmp_path, stem, dump):
+        config = parse_config(CONFIGS / f"{stem}.cfg")
+        if config.n == 10:
+            # Thirty N = 10 dumps are 1.3 GB, and the reference holds all thirty
+            # states (0.5 GB), so this config runs its first two sweeps.
+            config = replace(config, schedule=config.schedule[:2])
+        streamed, csv_path = run_to_files(config, tmp_path / "stream", stem, dump)
+        reference, _ = collect_then_write(config, tmp_path / "reference", stem, dump)
+        assert streamed == reference
+        assert csv_path == tmp_path / "stream" / f"{stem}.csv"
+        files = tree_bytes(tmp_path / "stream")
+        assert len(files) == 2 + (len(config.schedule) if dump else 0)
+        assert files == tree_bytes(tmp_path / "reference")
+
+    def test_run_steps_is_what_execute_collects(self):
+        config = parse_config(CONFIGS / "competition_3spin.cfg")
+        reports, states = execute(config)
+        steps = list(run_steps(config))
+        assert [r for r, _ in steps] == reports
+        for (_, rho), state in zip(steps, states):
+            assert rho.matrix.tobytes() == state.matrix.tobytes()
+
+    def test_traced_peak_is_flat_in_schedule_length(self, tmp_path):
+        state_bytes = 16 * 4**8
+        text = ("N = 8\nm0 = 3\ninitial = 01001001\nepsilon_diss = 0.02\n"
+                "epsilon_coh = 0.004\nschedule {{ REPEAT {} {{ SWEEP; U 0.25 }} }}\n")
+        run_to_files(parse_config_text(text.format(1)), tmp_path / "warm", "run", True)
+        peaks = {}
+        for repeat in (2, 8):
+            config = parse_config_text(text.format(repeat))
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                run_to_files(config, tmp_path / f"r{repeat}", "run", dump_states=True)
+                peaks[repeat] = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert len(list((tmp_path / "r8").glob("run_state_*.json"))) == 16
+        assert abs(peaks[8] - peaks[2]) < state_bytes, peaks
+
+    def test_invariant_violation_keeps_the_completed_dumps_only(self, tmp_path, capsys):
+        for name, schedule in (("good", "SWEEP; SWEEP"), ("bad", "SWEEP; SWEEP; QND 3")):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "run.cfg").write_text(
+                f"N = 3\nm0 = 2\ninitial = 101\nschedule {{ {schedule} }}\n"
+            )
+        out = {name: tmp_path / name / "out" for name in ("good", "bad")}
+        argv = ["run", "--dump-states", "--out"]
+        assert main(argv + [str(out["good"]), str(tmp_path / "good" / "run.cfg")]) == 0
+        assert main(argv + [str(out["bad"]), str(tmp_path / "bad" / "run.cfg")]) == 3
+        assert "step 3 (QND 3)" in capsys.readouterr().err
+        dumps = ["run_state_0001.json", "run_state_0002.json"]
+        assert sorted(tree_bytes(out["bad"])) == dumps
+        good = tree_bytes(out["good"])
+        assert sorted(good) == ["run.csv", "run.json"] + dumps
+        assert tree_bytes(out["bad"]) == {name: good[name] for name in dumps}
+
+
+class TestRegisterSizeCap:
+    """An N above ``MAX_N`` is a configuration error raised before any state
+    is built."""
+
+    @pytest.mark.parametrize("n", [MAX_N + 1, 20, 64])
+    def test_oversized_n_is_rejected_without_allocating(self, monkeypatch, n):
+        def no_state(config):
+            raise AssertionError("initial_state was called")
+
+        monkeypatch.setattr(cli_module, "initial_state", no_state)
+        text = f"N = {n}\nm0 = 1\ninitial = 1{'0' * (n - 1)}\nschedule {{ SWEEP }}\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=rf"^N = {n} exceeds .* N = {MAX_N}$"):
+                parse_config_text(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("n", [20, 64])
+    def test_cli_exits_2_and_names_n(self, tmp_path, capsys, n):
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(f"N = {n}\nm0 = 1\ninitial = 1{'0' * (n - 1)}\nschedule {{ SWEEP }}\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: N = {n} exceeds" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -377,3 +377,34 @@ class TestInteractionHamiltonianReference:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_equals_loop_reference(self, n, periodic):
         assert np.array_equal(interaction_hamiltonian(n, periodic), _loop_bond_energies(n, periodic))
+
+
+from spinmaps.register import apply_local_superop  # noqa: E402
+
+
+class TestPairSweepHermitization:
+    """The sweep re-Hermitizes its fresh output in place: bitwise the
+    out-of-place ``0.5 * (mat + mat.conj().T)``, and the input is untouched."""
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_bitwise_equal_to_the_out_of_place_form(self, n, periodic):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+        rho = DensityOperator(qubit_register(n), a @ a.conj().T / np.trace(a @ a.conj().T).real)
+        before = rho.matrix.copy()
+        superop = elementary_dissipative_map(DissipativeMapSpec(1, 1.1, 0.05)).superop
+        mat = rho.matrix
+        pairs = [(i, (i + 1) % n) for i in range(n if periodic else n - 1)]
+        for ions in pairs:
+            mat = apply_local_superop(mat, superop, ions, rho.layout.ion_dims)
+        out = composite_dissipative_sweep(rho, 1.1, 0.05, periodic)
+        assert out.matrix.tobytes() == (0.5 * (mat + mat.conj().T)).tobytes()
+        assert rho.matrix.tobytes() == before.tobytes()
+
+    def test_no_pair_leaves_the_input_untouched(self):
+        mat = np.array([[0.5, 0.25 + 0.1j], [0.25 - 0.1j, 0.5]])
+        rho = DensityOperator(qubit_register(1), mat.copy())
+        out = apply_hamiltonian_map(rho, 0.3, 0.01)
+        assert out.matrix is not rho.matrix
+        assert rho.matrix.tobytes() == mat.tobytes() == out.matrix.tobytes()

@@ -507,3 +507,169 @@ class TestBlockedPositivity:
         mat[3, 5] = mat[5, 3] = bad
         with pytest.raises(RegisterError):
             DensityOperator(layout, mat)
+
+
+from scipy.linalg.lapack import zpotrf  # noqa: E402
+
+import spinmaps.register as register_module  # noqa: E402
+
+
+def dense_path_validate(layout, mat, herm_tol=1e-10, clears=None):
+    """The fully dense validation of the previous release, kept here verbatim
+    as the reference: returns ``(message or None, positivity blocks)``."""
+    mat = np.asarray(mat, dtype=complex)
+    d = layout.dim
+    herm = np.max(np.abs(mat - mat.conj().T)) if d else 0.0
+    if not herm <= herm_tol:
+        return f"matrix deviates from Hermitian by {herm}", None
+    tr = np.trace(mat)
+    if not abs(tr - 1.0) <= 1e-10:
+        return f"trace {tr} deviates from 1 beyond {1e-10}", None
+    h = mat.conj().T
+    h += mat
+    h *= 0.5
+    blocks = [h]
+    if set(layout.ion_dims) == {2}:
+        sectors = [h[np.ix_(idx, idx)] for idx in _sector_indices(layout.n_ions)]
+        if sum(np.count_nonzero(b) for b in sectors) == np.count_nonzero(h):
+            blocks = sectors
+
+    def cholesky_clears(block):
+        shifted = block.copy()
+        shifted[np.diag_indices_from(shifted)] += 1e-8 - 1e-10
+        return zpotrf(shifted.T, overwrite_a=True, clean=False)[1] == 0
+
+    clears = cholesky_clears if clears is None else clears
+    if all(clears(b) for b in blocks):
+        return None, blocks
+    lo = float(np.min(np.concatenate([np.linalg.eigvalsh(b) for b in blocks])))
+    if not lo >= -1e-8:
+        return f"smallest eigenvalue {lo} below {-1e-08}", blocks
+    return None, blocks
+
+
+def validate(layout, mat):
+    """Message of the RegisterError ``DensityOperator`` raises, or None."""
+    try:
+        DensityOperator(layout, mat)
+    except RegisterError as exc:
+        return str(exc)
+    return None
+
+
+class TestSectorFirstValidation:
+    """When the matrix itself passes the count test, the residual and the
+    Hermitian part are computed per sector; every decision, residual, block
+    and message equals the dense path's."""
+
+    def same_as_dense_path(self, monkeypatch, layout, mat):
+        """Assert equal messages, and bitwise equal positivity blocks when
+        both paths get that far; returns the message."""
+        seen = []
+        monkeypatch.setattr(
+            register_module, "_clears_floor", lambda b: seen.append(b.copy()) or True
+        )
+        recorded = validate(layout, mat.copy())
+        monkeypatch.undo()
+        expected, blocks = dense_path_validate(layout, mat.copy(), clears=lambda b: True)
+        assert recorded == expected
+        if blocks is not None:
+            assert len(seen) == len(blocks)
+            for got, want in zip(seen, blocks):
+                assert got.tobytes() == want.tobytes()
+        message = validate(layout, mat.copy())
+        assert message == dense_path_validate(layout, mat.copy())[0]
+        return message
+
+    def residual_message(self, monkeypatch, layout, mat):
+        """Force the Hermiticity check to fail, so the message shows the
+        exact residual, on both paths."""
+        monkeypatch.setattr(register_module, "HERMITICITY_TOL", -1.0)
+        got = validate(layout, mat.copy())
+        monkeypatch.undo()
+        assert got == dense_path_validate(layout, mat.copy(), herm_tol=-1.0)[0]
+        return got
+
+    def test_random_sector_diagonal_states(self, monkeypatch):
+        rng = np.random.default_rng(80)
+        lows = [0.0, 1e-6, -1e-8 + 1e-10, -1e-8 - 1e-10, -1e-4]
+        accepted = set()
+        for trial in range(70):
+            n = 2 + trial % 7
+            layout = qubit_register(n)
+            mat = sector_diagonal_state(rng, n, lows[trial % len(lows)])
+            assert register_module._sector_blocks(layout, mat) is not None
+            accepted.add(self.same_as_dense_path(monkeypatch, layout, mat) is None)
+            self.residual_message(monkeypatch, layout, mat)
+        assert accepted == {True, False}
+
+    @pytest.mark.parametrize("size", [1e-13, 4e-11, 9e-11, 2e-10, 1e-6])
+    def test_in_sector_non_hermitian_perturbation(self, monkeypatch, size):
+        rng = np.random.default_rng(81)
+        for n in range(2, 9):
+            layout = qubit_register(n)
+            mat = sector_diagonal_state(rng, n, 0.0)
+            idx = _sector_indices(n)[1]
+            i, j = rng.choice(idx, 2, replace=False)
+            mat[i, j] += size * np.exp(2j * np.pi * rng.uniform())
+            assert register_module._sector_blocks(layout, mat) is not None
+            message = self.same_as_dense_path(monkeypatch, layout, mat)
+            assert (message is None) == (size < 1e-10)
+            assert self.residual_message(monkeypatch, layout, mat) is not None
+
+    @pytest.mark.parametrize("size", [1e-12, 1e-6])
+    def test_anti_hermitian_cross_sector_pair_falls_through(self, monkeypatch, size):
+        rng = np.random.default_rng(82)
+        for n in range(2, 9):
+            layout = qubit_register(n)
+            mat = sector_diagonal_state(rng, n, 0.0)
+            i, j = _sector_indices(n)[1][0], _sector_indices(n)[2][-1]
+            a = size * np.exp(2j * np.pi * rng.uniform())
+            mat[i, j], mat[j, i] = a, -np.conj(a)
+            h = 0.5 * (mat + mat.conj().T)
+            assert register_module._sector_blocks(layout, mat) is None
+            assert len(_hermitian_blocks(layout, h)) == n + 1
+            message = self.same_as_dense_path(monkeypatch, layout, mat)
+            assert (message is None) == (size < 1e-10)
+            self.residual_message(monkeypatch, layout, mat)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(np.inf, 1)])
+    @pytest.mark.parametrize("where", ["diagonal", "in-sector", "cross-sector", "both-halves"])
+    def test_non_finite_entries_give_the_same_message(self, monkeypatch, bad, where):
+        rng = np.random.default_rng(83)
+        for n in (2, 5, 8):
+            layout = qubit_register(n)
+            mat = sector_diagonal_state(rng, n, 0.0)
+            s1, s2 = _sector_indices(n)[1], _sector_indices(n)[2]
+            i, j = {"diagonal": (s1[0], s1[0]), "in-sector": (s1[0], s1[1]),
+                    "cross-sector": (s1[0], s2[0]), "both-halves": (s1[1], s1[0])}[where]
+            mat[i, j] = bad
+            if where == "both-halves":
+                mat[j, i] = bad
+            message = self.same_as_dense_path(monkeypatch, layout, mat)
+            assert message is not None and message.startswith(("matrix deviates", "trace"))
+            self.residual_message(monkeypatch, layout, mat)
+
+    @pytest.mark.parametrize("n_system", [1, 2, 3, 4])
+    @pytest.mark.parametrize("lowest", [0.0, -1e-8 + 1e-10, -1e-8 - 1e-10, -1e-3])
+    def test_qutrit_registers_take_the_dense_path(self, monkeypatch, n_system, lowest):
+        rng = np.random.default_rng(84 + n_system)
+        layout = system_with_ancilla(n_system)
+        mat = dense_state(rng, layout.dim, lowest)
+        assert register_module._sector_blocks(layout, mat) is None
+        message = self.same_as_dense_path(monkeypatch, layout, mat)
+        assert (message is None) == (lowest >= -1e-8)
+        mat[0, 1] += 1e-9
+        assert self.same_as_dense_path(monkeypatch, layout, mat).startswith("matrix deviates")
+        self.residual_message(monkeypatch, layout, mat)
+
+    @pytest.mark.parametrize("offset", [1e-10, -1e-10])
+    def test_planted_eigenvalue_at_the_floor(self, monkeypatch, offset):
+        rng = np.random.default_rng(85)
+        for n in range(2, 9):
+            layout = qubit_register(n)
+            mat = sector_diagonal_state(rng, n, -1e-8 + offset)
+            message = self.same_as_dense_path(monkeypatch, layout, mat)
+            assert (message is None) == (offset > 0)
+            assert message is None or message.startswith("smallest eigenvalue")
