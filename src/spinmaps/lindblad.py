@@ -97,7 +97,8 @@ def integrate(
         k3 = rhs(mat + 0.5 * dt * k2)
         k4 = rhs(mat + dt * k3)
         mat = mat + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        mat = 0.5 * (mat + mat.conj().T)
+        mat += mat.conj().T  # in place on the step's own sum
+        mat *= 0.5
         tr = float(np.real(np.trace(mat)))
         if abs(tr - 1.0) > TRACE_DRIFT_LIMIT:
             raise IntegrationUnstableError(f"trace drifted to {tr}")

@@ -21,8 +21,9 @@ from .register import (
     DensityOperator,
     RegisterError,
     RegisterLayout,
-    apply_local_kraus,
+    apply_local_superop,
     excitation_numbers,
+    kraus_superop,
     system_with_ancilla,
 )
 
@@ -147,6 +148,13 @@ def _swap_gate() -> np.ndarray:
     return u
 
 
+# The stabilization gates, each folded once into its superoperator.
+_PI_SUPEROP = kraus_superop((_ANCILLA_PI,))
+_SWAP_SUPEROP = kraus_superop((_swap_gate(),))
+_PARK_SUPEROPS = tuple(kraus_superop(park_kraus_ops(level)) for level in (0, 1))
+_PUMP_SUPEROP = kraus_superop(pump_kraus_ops(3, 1))
+
+
 def _check_stabilization_layout(rho: DensityOperator) -> int:
     layout = rho.layout
     if layout.ancilla_index != 0 or layout.ion_dims[0] != 3:
@@ -185,23 +193,21 @@ def _stabilize_half(
     dims = rho.layout.ion_dims
     counts = excitation_numbers(n)
     flags = counts > m0 if removing else counts < m0
-    park_level = 1 if removing else 0
     mat = rho.matrix
     if not removing:
         # pi-pulse exchanging the ancilla's computational states switches the
         # extraction circuit into the injection one
-        mat = apply_local_kraus(mat, (_ANCILLA_PI,), (0,), dims)
+        mat = apply_local_superop(mat, _PI_SUPEROP, (0,), dims)
     mat = _detector_conjugate(mat, n, flags)
-    park = park_kraus_ops(park_level)
-    mat = apply_local_kraus(mat, park, (0,), dims)
-    swap = _swap_gate()
+    park = _PARK_SUPEROPS[1 if removing else 0]
+    mat = apply_local_superop(mat, park, (0,), dims)
     for site in _cascade_sites(n, m0, removing):
-        mat = apply_local_kraus(mat, (swap,), (0, site), dims)
-        mat = apply_local_kraus(mat, park, (0,), dims)
-    mat = apply_local_kraus(mat, pump_kraus_ops(3, 1), (0,), dims)
-    mat = 0.5 * (mat + mat.conj().T)
+        mat = apply_local_superop(mat, _SWAP_SUPEROP, (0, site), dims)
+        mat = apply_local_superop(mat, park, (0,), dims)
+    mat = apply_local_superop(mat, _PUMP_SUPEROP, (0,), dims)
+    mat += mat.conj().T  # in place on the pump's fresh output
+    mat *= 0.5
     return DensityOperator(rho.layout, mat)
-
 
 
 def stabilize_remove(rho: DensityOperator, m0: int) -> DensityOperator:

@@ -444,13 +444,6 @@ def apply_local_superop(
     return t.transpose(np.argsort(perm)).reshape(d, d)
 
 
-def apply_local_kraus(
-    rho_mat: np.ndarray, kraus: Iterable[np.ndarray], sites: Sequence[int], dims: Sequence[int]
-) -> np.ndarray:
-    """Apply ``rho -> sum_k K rho K^dag`` with every K supported on ``sites``."""
-    return apply_local_superop(rho_mat, kraus_superop(kraus), sites, dims)
-
-
 def partial_trace(rho: DensityOperator, ions: Iterable[int]) -> DensityOperator:
     """Trace out the given ions, returning the reduced state on the rest."""
     traced = sorted(set(int(i) for i in ions))

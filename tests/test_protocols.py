@@ -307,3 +307,62 @@ class TestStabilizeIsRemoveThenInject:
             rho = DensityOperator(stabilization_register(n), mat / np.trace(mat).real)
             expected = stabilize_inject(stabilize_remove(rho, m0), m0)
             assert np.array_equal(stabilize(rho, m0).matrix, expected.matrix)
+
+
+from spinmaps.channels import park_kraus_ops, pump_kraus_ops  # noqa: E402
+from spinmaps.protocols import (  # noqa: E402
+    _ANCILLA_PI,
+    _DETECT_GATE,
+    _PARK_SUPEROPS,
+    _PI_SUPEROP,
+    _PUMP_SUPEROP,
+    _SWAP_SUPEROP,
+    _cascade_sites,
+    _swap_gate,
+)
+from spinmaps.register import embed_operator, excitation_numbers, kraus_superop  # noqa: E402
+
+
+def dense_half_round(mat, n, m0, removing):
+    """Removal or injection as dense sum_k K rho K^dag over register-sized Kraus operators."""
+    dims = stabilization_register(n).ion_dims
+
+    def channel(mat, kraus, sites):
+        ops = [embed_operator(k, sites, dims) for k in kraus]
+        return sum(k @ mat @ k.conj().T for k in ops)
+
+    counts = excitation_numbers(n)
+    flags = counts > m0 if removing else counts < m0
+    detector = np.zeros((3 * 2**n,) * 2, dtype=complex)
+    for b, flag in enumerate(flags):
+        gate = _DETECT_GATE if flag else np.eye(3)
+        detector[b::2**n, b::2**n] = gate
+    park = park_kraus_ops(1 if removing else 0)
+    if not removing:
+        mat = channel(mat, (_ANCILLA_PI,), (0,))
+    mat = channel(detector @ mat @ detector.conj().T, park, (0,))
+    for site in _cascade_sites(n, m0, removing):
+        mat = channel(channel(mat, (_swap_gate(),), (0, site)), park, (0,))
+    return channel(mat, pump_kraus_ops(3, 1), (0,))
+
+
+class TestFoldedStabilizationGates:
+    def test_each_gate_is_the_fold_of_its_kraus_set(self):
+        folded = [(_PI_SUPEROP, (_ANCILLA_PI,)), (_SWAP_SUPEROP, (_swap_gate(),)),
+                  (_PUMP_SUPEROP, pump_kraus_ops(3, 1))]
+        folded += [(_PARK_SUPEROPS[level], park_kraus_ops(level)) for level in (0, 1)]
+        for superop, kraus in folded:
+            assert np.array_equal(superop, kraus_superop(kraus))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("removing", [True, False])
+    def test_half_rounds_match_dense_kraus_sums(self, n, removing):
+        rng = np.random.default_rng(60 + n)
+        d = 3 * 2**n
+        half = stabilize_remove if removing else stabilize_inject
+        for m0 in range(n + 1):
+            a = rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3))
+            mat = a @ a.conj().T
+            rho = DensityOperator(stabilization_register(n), mat / np.trace(mat).real)
+            expected = dense_half_round(rho.matrix, n, m0, removing)
+            assert np.max(np.abs(half(rho, m0).matrix - expected)) <= 1e-12

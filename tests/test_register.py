@@ -8,7 +8,6 @@ from spinmaps.register import (
     PureState,
     RegisterError,
     RegisterLayout,
-    apply_local_kraus,
     apply_local_superop,
     basis_state,
     embed,
@@ -275,10 +274,8 @@ class TestUnitaryAsKrausEquivalence:
         rho = random_density(rng, int(np.prod(dims)))
         q, _ = np.linalg.qr(random_operator(rng, int(np.prod([dims[s] for s in sites]))))
         e = embed_operator(q, sites, dims)
-        out = apply_local_kraus(rho, (q,), sites, dims)
+        out = apply_local_superop(rho, kraus_superop((q,)), sites, dims)
         assert np.max(np.abs(out - e @ rho @ e.conj().T)) <= 1e-12
-        superop_out = apply_local_superop(rho, kraus_superop((q,)), sites, dims)
-        assert superop_out.tobytes() == out.tobytes()
 
     def test_superoperator_of_the_wrong_shape(self):
         rho = basis_state(qubit_register(3), [1, 0, 1]).density().matrix
@@ -301,8 +298,6 @@ def _local_channel(n_sites):
 _SITE_ENTRY_POINTS = {
     "embed_operator": lambda rho, sites: embed_operator(
         np.eye(2 ** len(sites)), sites, rho.layout.ion_dims),
-    "apply_local_kraus": lambda rho, sites: apply_local_kraus(
-        rho.matrix, (np.eye(2 ** len(sites)),), sites, rho.layout.ion_dims),
     "apply_local_superop": lambda rho, sites: apply_local_superop(
         rho.matrix, kraus_superop((np.eye(2 ** len(sites)),)), sites, rho.layout.ion_dims),
     "apply_embedded": lambda rho, sites: apply_embedded(
@@ -320,7 +315,7 @@ class TestSiteValidation:
             _SITE_ENTRY_POINTS[entry](rho, (site,))
 
     @pytest.mark.parametrize(
-        "entry", ["embed_operator", "apply_local_kraus", "apply_local_superop", "apply_embedded"])
+        "entry", ["embed_operator", "apply_local_superop", "apply_embedded"])
     @pytest.mark.parametrize("sites", [(1, 1), (2, 2), (0, 3), (-1, 1)])
     def test_repeated_or_bad_pair(self, entry, sites):
         rho = basis_state(qubit_register(3), [1, 0, 1]).density()

@@ -134,15 +134,18 @@ class TestVerifyDirectory:
 
 from itertools import permutations  # noqa: E402
 
-from spinmaps.channels import ChoiMatrix  # noqa: E402
+import spinmaps.cli as cli_module  # noqa: E402
 from spinmaps.cli import (  # noqa: E402
-    _framed_choi,
+    MAX_TABLE_IONS,
+    _flip_flop_target,
+    _frame_objective,
     _permute_ions,
     _reduced_channel,
     _TARGET_CHECKS,
     _z_phases,
     main,
 )
+from spinmaps.maps import HamiltonianMapSpec, hamiltonian_map  # noqa: E402
 
 
 def kron_z_frame_diagonal(angles):
@@ -183,21 +186,84 @@ class TestFrameFitPieces:
         assert np.array_equal(_permute_ions(u, perm), p @ u @ p.T)
         assert np.array_equal(_permute_ions(u, np.argsort(perm)), p.T @ u @ p)
 
-    def test_framed_choi_matches_channel_of_framed_kraus(self):
+
+def framed_process_fidelity(ideal, kraus, x):
+    """process_fidelity of the channel K -> Z_out K Z_in against ``ideal``, with
+    x = (in angles, out angles) and the frames built as dense diagonals."""
+    n = len(x) // 2
+    z_in = np.diag(kron_z_frame_diagonal(x[:n]))
+    z_out = np.diag(kron_z_frame_diagonal(x[n:]))
+    layout = qubit_register(n)
+    framed = Channel(layout, tuple(z_out @ k @ z_in for k in kraus))
+    return process_fidelity(choi(framed), choi(Channel(layout, ideal)))
+
+
+def bilinear_frame_fidelity(target, u, x):
+    """|z_out . (conj(T) * U) . z_in|^2 / d^2: the unitary-table score the Kraus
+    overlap replaced, kept here as its reference."""
+    n = len(x) // 2
+    overlap = _z_phases(x[n:]) @ (target.conj() * u) @ _z_phases(x[:n])
+    return (np.abs(overlap) / u.shape[0]) ** 2
+
+
+def random_pair_kraus(rng, rank):
+    """Kraus set of a random 2-qubit channel: the blocks of a random isometry."""
+    g = rng.standard_normal((4 * rank, 4)) + 1j * rng.standard_normal((4 * rank, 4))
+    iso, _ = np.linalg.qr(g)
+    return tuple(iso[4 * k : 4 * (k + 1)] for k in range(rank))
+
+
+def random_unitary(rng, d):
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q
+
+
+class TestKrausOverlapObjective:
+    IDEAL = elementary_dissipative_map(DissipativeMapSpec(1)).kraus_ops
+
+    @pytest.mark.parametrize("perm", list(permutations(range(3))))
+    @pytest.mark.parametrize("prep", [1, 0])
+    def test_matches_choi_process_fidelity_on_table_assignments(self, perm, prep):
         seq = parse_sequence((TABLES / "single_dissipative_map.txt").read_text())
         u = sequence_unitary(seq, qubit_register(3))
+        kraus = _reduced_channel(u, perm[0], prep, perm[1:]).kraus_ops
+        score = _frame_objective(self.IDEAL, kraus, 2)
         rng = np.random.default_rng(11)
-        for ancilla, prep, pair_order in [(2, 1, (0, 1)), (0, 0, (2, 1)), (1, 1, (0, 2))]:
-            base = _reduced_channel(u, ancilla, prep, pair_order)
-            for _ in range(5):
-                x = rng.uniform(-pi, pi, 4)
-                z_in = np.diag(kron_z_frame_diagonal(x[:2]))
-                z_out = np.diag(kron_z_frame_diagonal(x[2:]))
-                ops = tuple(z_out @ k @ z_in for k in base.kraus_ops)
-                expected = choi(Channel(qubit_register(2), ops)).matrix
-                framed = _framed_choi(choi(base).matrix, x)
-                assert isinstance(framed, ChoiMatrix)
-                assert np.max(np.abs(framed.matrix - expected)) <= 1e-14
+        for x in [np.zeros(4)] + [rng.uniform(-pi, pi, 4) for _ in range(5)]:
+            assert abs(score(x) - framed_process_fidelity(self.IDEAL, kraus, x)) <= 1e-12
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_matches_choi_process_fidelity_on_random_pair_channels(self, rank):
+        rng = np.random.default_rng(100 + rank)
+        for trial in range(20):
+            kraus = random_pair_kraus(rng, rank)
+            ideal = self.IDEAL if trial % 2 else random_pair_kraus(rng, int(rng.integers(1, 5)))
+            x = rng.uniform(-pi, pi, 4)
+            score = _frame_objective(ideal, kraus, 2)(x)
+            assert abs(score - framed_process_fidelity(ideal, kraus, x)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_operator_each_side_is_the_bilinear_form(self, n):
+        rng = np.random.default_rng(20 + n)
+        for _ in range(20):
+            target, u = random_unitary(rng, 2**n), random_unitary(rng, 2**n)
+            x = rng.uniform(-pi, pi, 2 * n)
+            expected = bilinear_frame_fidelity(target, u, x)
+            assert abs(_frame_objective((target,), (u,), n)(x) - expected) <= 1e-14
+
+    @pytest.mark.parametrize("table", ["swap", "hamiltonian_3spin"])
+    def test_one_operator_each_side_on_the_shipped_targets(self, table):
+        target = {"swap": _flip_flop_target(),
+                  "hamiltonian_3spin": hamiltonian_map(HamiltonianMapSpec(pi / 2), 3).kraus_ops[0]}
+        seq = parse_sequence((TABLES / f"{table}.txt").read_text())
+        u = sequence_unitary(seq, qubit_register(3))
+        rng = np.random.default_rng(5)
+        for perm in permutations(range(3)):
+            u_perm = _permute_ions(u, np.argsort(perm))
+            score = _frame_objective((target[table],), (u_perm,), 3)
+            for x in [np.zeros(6)] + [rng.uniform(-pi, pi, 6) for _ in range(3)]:
+                expected = bilinear_frame_fidelity(target[table], u_perm, x)
+                assert abs(score(x) - expected) <= 1e-14
 
 
 class TestPinnedReferenceFits:
@@ -241,3 +307,31 @@ class TestTargetCheckErrors:
         (tables / "swap.txt").write_text(text)
         assert main(["verify-sequences", str(tables), "--out", str(tmp_path)]) == 0
         assert "swap.txt: ok error:" in capsys.readouterr().out
+
+
+class TestTableIonCap:
+    @pytest.fixture(autouse=True)
+    def nothing_is_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a table wider than the cap was interpreted")
+
+        for name in ("qubit_register", "sequence_unitary", "sequence_channel"):
+            monkeypatch.setattr(cli_module, name, refuse)
+
+    @pytest.mark.parametrize("line", [
+        "S_z(0.5, 40)", f"S_z(0.5, {MAX_TABLE_IONS})", "RESET(40)", f"REPUMP({MAX_TABLE_IONS})"])
+    def test_far_ion_is_a_per_file_error(self, tmp_path, line):
+        (tmp_path / "wide.txt").write_text(line + "\n")
+        (entry,) = verify_sequences(tmp_path)["files"]
+        ions = int(line.rstrip(")").split(",")[-1].split("(")[-1]) + 1
+        assert entry["parse_ok"] is True and entry["roundtrip_ok"] is True
+        assert f"addresses {ions} ions" in entry["error"]
+        assert f"at most {MAX_TABLE_IONS}" in entry["error"]
+        assert not {"unitary_ok", "channel_ok", "reference"} & set(entry)
+
+    def test_cli_reports_and_exits_zero(self, tmp_path, capsys):
+        tables = tmp_path / "tables"
+        tables.mkdir()
+        (tables / "wide.txt").write_text("S_z(0.5, 40)\n")
+        assert main(["verify-sequences", str(tables), "--out", str(tmp_path)]) == 0
+        assert "wide.txt: ok error: table addresses 41 ions" in capsys.readouterr().out
