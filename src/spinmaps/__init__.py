@@ -76,6 +76,7 @@ from .protocols import (
     stabilize,
     stabilize_inject,
     stabilize_remove,
+    stabilize_system,
 )
 from .lindblad import (
     IntegrationUnstableError,

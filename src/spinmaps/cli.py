@@ -57,13 +57,7 @@ from .observables import (
     purity,
     subspace_populations,
 )
-from .protocols import (
-    postselect,
-    stabilization_register,
-    stabilize,
-    stabilize_inject,
-    stabilize_remove,
-)
+from .protocols import postselect, stabilize_system
 from .register import (
     DensityOperator,
     PureState,
@@ -71,7 +65,6 @@ from .register import (
     RegisterLayout,
     basis_bits,
     basis_state,
-    partial_trace,
     qubit_register,
 )
 
@@ -424,13 +417,6 @@ def _token_label(kind: str, arg, config: RunConfig) -> str:
     return f"{kind} {arg}"
 
 
-def _with_ancilla(rho: DensityOperator) -> DensityOperator:
-    anc = np.zeros((3, 3), dtype=complex)
-    anc[1, 1] = 1.0
-    layout = stabilization_register(rho.layout.n_ions)
-    return DensityOperator(layout, np.kron(anc, rho.matrix))
-
-
 def _observe(
     rho: DensityOperator,
     step: int,
@@ -485,12 +471,10 @@ def run_steps(config: RunConfig) -> Iterator[tuple[ObservableReport, DensityOper
                     )
                 rho = rho_post
             elif kind in ("REMOVE", "INJECT", "STAB"):
-                fn = {
-                    "REMOVE": stabilize_remove,
-                    "INJECT": stabilize_inject,
-                    "STAB": stabilize,
-                }[kind]
-                rho = partial_trace(fn(_with_ancilla(rho), arg), [0])
+                # STAB is removal then injection; each half's output is validated
+                halves = {"REMOVE": (True,), "INJECT": (False,), "STAB": (True, False)}
+                for removing in halves[kind]:
+                    rho = stabilize_system(rho, arg, removing)
             else:  # pragma: no cover - parse_schedule rejects unknown tokens
                 raise ConfigError(f"unknown schedule token {kind!r}")
             report = _observe(rho, step, label, config, success)
@@ -601,6 +585,11 @@ def run_to_files(
 # Most ions a pulse table may address: checking one holds a few 2^n x 2^n
 # complex arrays (0.27 GB each at 12 ions, 1.1 GB at 13) plus an MS ``eigh``.
 MAX_TABLE_IONS = 12
+
+# Most complex entries the channel of a reset table may hold: k RESET/REPUMP
+# pulses on n ions multiply out to 2^k Kraus operators of 4^n entries each.
+# 2^26 entries are 1 GiB, and composing holds about twice that at once.
+MAX_RESET_TABLE_ENTRIES = 2**26
 
 
 def _z_phases(angles: np.ndarray) -> np.ndarray:
@@ -743,8 +732,17 @@ def verify_sequences(directory: str | Path) -> dict:
             entry["error"] = f"table addresses {n_ions} ions; at most {MAX_TABLE_IONS} are checked"
             entries.append(entry)
             continue
+        resets = sum(p.kind in ("Reset", "Repump") for p in seq.pulses)
+        if 2**resets * 4**n_ions > MAX_RESET_TABLE_ENTRIES:
+            entry["error"] = (
+                f"table has {resets} resets on {n_ions} ions: its channel holds "
+                f"2^{resets} Kraus operators of 4^{n_ions} entries, more than the "
+                f"{MAX_RESET_TABLE_ENTRIES} entries that are checked"
+            )
+            entries.append(entry)
+            continue
         layout = qubit_register(n_ions)
-        if any(p.kind in ("Reset", "Repump") for p in seq.pulses):
+        if resets:
             try:
                 sequence_channel(seq, layout)
                 entry["channel_ok"] = True

@@ -6,6 +6,17 @@ third level parks the ancilla outside the computational space), ions
 1..N = system spins.  The protocol is open-loop: every gate is applied in
 every run, and the halting branches are realized physically by incoherent
 parking of the ancilla.
+
+A half-round runs on the ancilla blocks ``rho_ab = <a| rho |b>`` of the
+register state, never on the ``3 * 2^N`` register itself.  This is exact:
+every park Kraus set ``{|2><s|, |o><o|, |2><2|}`` removes all coherence
+between ancilla levels, and the pump sends every level to ``|1>``.  So
+after the detector and the first park the state is ancilla-diagonal,
+``sum_a |a><a| (x) rho_a`` with at most two nonzero blocks (the kept level
+and the parking level 2); each swap-then-park cascade step keeps it so, and
+the pump returns ``|1><1| (x) sum_a rho_a``.  The pi pulse of the injection
+relabels ancilla levels 0 and 1, and the detector scales each block by
+per-basis-state coefficients.
 """
 
 from __future__ import annotations
@@ -148,11 +159,31 @@ def _swap_gate() -> np.ndarray:
     return u
 
 
-# The stabilization gates, each folded once into its superoperator.
+# The stabilization gates folded into superoperators.  The block kernel
+# below applies the pi pulse as a relabelling of ancilla levels and the pump
+# as a sum of blocks; tests hold both to these folds.
 _PI_SUPEROP = kraus_superop((_ANCILLA_PI,))
 _SWAP_SUPEROP = kraus_superop((_swap_gate(),))
 _PARK_SUPEROPS = tuple(kraus_superop(park_kraus_ops(level)) for level in (0, 1))
 _PUMP_SUPEROP = kraus_superop(pump_kraus_ops(3, 1))
+
+
+def _cascade_step(park_level: int) -> dict[tuple[int, int], np.ndarray | None]:
+    """Swap-then-park on (ancilla, site), folded once as the superoperator of
+    ``{(P_k (x) 1_site) U_swap}``, split into its nonzero ancilla-diagonal
+    parts ``(c, c) <- (a, a)``: 4x4 superoperators on the site, ``None`` for
+    an identity part (parked population stays parked)."""
+    kraus = [np.kron(p, np.eye(2)) @ _swap_gate() for p in park_kraus_ops(park_level)]
+    t = kraus_superop(kraus).reshape((3, 2) * 4)
+    parts = {(c, a): t[c, :, c, :, a, :, a, :].reshape(4, 4) for c in range(3) for a in range(3)}
+    return {
+        key: None if np.array_equal(part, np.eye(4)) else part
+        for key, part in parts.items()
+        if np.any(part)
+    }
+
+
+_CASCADE_STEPS = tuple(_cascade_step(level) for level in (0, 1))
 
 
 def _check_stabilization_layout(rho: DensityOperator) -> int:
@@ -163,15 +194,6 @@ def _check_stabilization_layout(rho: DensityOperator) -> int:
     if layout.ion_dims[1:] != (2,) * n:
         raise RegisterError("system ions must be qubits")
     return n
-
-
-def _detector_conjugate(mat: np.ndarray, n: int, flags: np.ndarray) -> np.ndarray:
-    """Conjugate by sum_b |b><b|_sys (x) (flip if flags[b] else 1)_ancilla."""
-    dim_sys = 2**n
-    gates = np.where(flags[:, None, None], _DETECT_GATE, np.eye(3, dtype=complex))
-    t = mat.reshape(3, dim_sys, 3, dim_sys)
-    out = np.einsum("bij,jbkc,clk->iblc", gates, t, gates.conj(), optimize=True)
-    return out.reshape(3 * dim_sys, 3 * dim_sys)
 
 
 def _cascade_sites(n: int, m0: int, removing: bool) -> list[int]:
@@ -185,29 +207,68 @@ def _cascade_sites(n: int, m0: int, removing: bool) -> list[int]:
 
 
 def _stabilize_half(
-    rho: DensityOperator, m0: int, removing: bool
-) -> DensityOperator:
-    n = _check_stabilization_layout(rho)
+    blocks: dict[tuple[int, int], np.ndarray], n: int, m0: int, removing: bool
+) -> np.ndarray:
+    """One half-round on the ancilla blocks ``{(a, b): <a| rho |b>}`` of a
+    register state (absent blocks are zero); returns the system matrix
+    ``sigma`` of the output ``|1><1| (x) sigma``.  No input block is written."""
     if not 0 <= m0 <= n:
         raise RegisterError(f"m0 {m0} out of range for N={n}")
-    dims = rho.layout.ion_dims
     counts = excitation_numbers(n)
     flags = counts > m0 if removing else counts < m0
-    mat = rho.matrix
     if not removing:
-        # pi-pulse exchanging the ancilla's computational states switches the
-        # extraction circuit into the injection one
-        mat = apply_local_superop(mat, _PI_SUPEROP, (0,), dims)
-    mat = _detector_conjugate(mat, n, flags)
-    park = _PARK_SUPEROPS[1 if removing else 0]
-    mat = apply_local_superop(mat, park, (0,), dims)
+        # the pi pulse exchanging the ancilla's computational levels switches
+        # the extraction circuit into the injection one
+        pi_level = (1, 0, 2)
+        blocks = {(pi_level[a], pi_level[b]): blk for (a, b), blk in blocks.items()}
+    # coeff[s, i, j]: the detector's ancilla gate on system basis state s
+    coeff = np.where(flags[:, None, None], _DETECT_GATE, np.eye(3, dtype=complex))
+    park_level = 1 if removing else 0
+
+    def detected(level: int) -> np.ndarray | None:
+        """Diagonal block (level, level) of the detector's output."""
+        out = None
+        for (j, k), blk in blocks.items():
+            left, right = coeff[:, level, j], coeff[:, level, k]
+            if left.any() and right.any():
+                term = left[:, None] * blk * right.conj()
+                out = term if out is None else out + term
+        return out
+
+    # The first park keeps (keep, keep), sums the parked blocks into (2, 2)
+    # and drops every coherence between ancilla levels: from here on the
+    # state is ancilla-diagonal, held as {level: block}.
+    parked = [b for b in (detected(park_level), blocks.get((2, 2))) if b is not None]
+    diag = {1 - park_level: detected(1 - park_level), 2: sum(parked) if parked else None}
+    diag = {a: b for a, b in diag.items() if b is not None}
+    dims = (2,) * n
+    step = _CASCADE_STEPS[park_level]
     for site in _cascade_sites(n, m0, removing):
-        mat = apply_local_superop(mat, _SWAP_SUPEROP, (0, site), dims)
-        mat = apply_local_superop(mat, park, (0,), dims)
-    mat = apply_local_superop(mat, _PUMP_SUPEROP, (0,), dims)
-    mat += mat.conj().T  # in place on the pump's fresh output
-    mat *= 0.5
-    return DensityOperator(rho.layout, mat)
+        new: dict[int, np.ndarray] = {}
+        for (c, a), part in step.items():
+            if a in diag:
+                term = diag[a] if part is None else apply_local_superop(
+                    diag[a], part, (site - 1,), dims
+                )
+                new[c] = term if c not in new else new[c] + term
+        diag = new
+    # The pump sends every ancilla level to |1>.
+    sigma = sum(diag.values())
+    sigma += sigma.conj().T
+    sigma *= 0.5
+    return sigma
+
+
+def _half_round(rho: DensityOperator, m0: int, removing: bool) -> DensityOperator:
+    n = _check_stabilization_layout(rho)
+    d = 2**n
+    t = rho.matrix.reshape(3, d, 3, d)
+    sigma = _stabilize_half(
+        {(a, b): t[a, :, b] for a in range(3) for b in range(3)}, n, m0, removing
+    )
+    out = np.zeros_like(rho.matrix)
+    out[d : 2 * d, d : 2 * d] = sigma
+    return DensityOperator(rho.layout, out)
 
 
 def stabilize_remove(rho: DensityOperator, m0: int) -> DensityOperator:
@@ -219,7 +280,7 @@ def stabilize_remove(rho: DensityOperator, m0: int) -> DensityOperator:
     m <= m0, and in particular the full m0 block including its coherences,
     are left untouched.
     """
-    return _stabilize_half(rho, m0, removing=True)
+    return _half_round(rho, m0, removing=True)
 
 
 def stabilize_inject(rho: DensityOperator, m0: int) -> DensityOperator:
@@ -229,9 +290,23 @@ def stabilize_inject(rho: DensityOperator, m0: int) -> DensityOperator:
     computational states; deposits at the first empty site reached by the
     swap cascade.
     """
-    return _stabilize_half(rho, m0, removing=False)
+    return _half_round(rho, m0, removing=False)
 
 
 def stabilize(rho: DensityOperator, m0: int) -> DensityOperator:
     """Full stabilization round: removal, then injection (each resets the ancilla)."""
     return stabilize_inject(stabilize_remove(rho, m0), m0)
+
+
+def stabilize_system(rho: DensityOperator, m0: int, removing: bool) -> DensityOperator:
+    """Removal (``removing``) or injection half-round on a system state with
+    the ancilla prepared in |1>, returning the validated system state.
+
+    Equals ``partial_trace(stabilize_remove(kron(|1><1|, rho), m0), [0])``
+    (or the injection), but starts from the single block ``(1, 1) = rho``
+    and never builds the register state.
+    """
+    n = rho.layout.n_ions
+    if rho.layout.ion_dims != (2,) * n:
+        raise RegisterError("stabilize_system expects a system-only qubit register")
+    return DensityOperator(rho.layout, _stabilize_half({(1, 1): rho.matrix}, n, m0, removing))

@@ -635,6 +635,21 @@ class TestStreamingRun:
         assert len(list((tmp_path / "r8").glob("run_state_*.json"))) == 16
         assert abs(peaks[8] - peaks[2]) < state_bytes, peaks
 
+    def test_stab_step_peak_is_a_few_system_states(self, tmp_path):
+        # The ancilla is carried as system-sized blocks, so a STAB step never
+        # holds a register state (9 system states each).
+        state_bytes = 16 * 4**8
+        config = parse_config_text("N = 8\nm0 = 4\ninitial = equal\nschedule { STAB 4 }\n")
+        run_to_files(config, tmp_path / "warm", "run")
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_to_files(config, tmp_path / "run", "run")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * state_bytes, peak / state_bytes
+
     def test_invariant_violation_keeps_the_completed_dumps_only(self, tmp_path, capsys):
         for name, schedule in (("good", "SWEEP; SWEEP"), ("bad", "SWEEP; SWEEP; QND 3")):
             (tmp_path / name).mkdir()

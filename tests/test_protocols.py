@@ -366,3 +366,78 @@ class TestFoldedStabilizationGates:
             rho = DensityOperator(stabilization_register(n), mat / np.trace(mat).real)
             expected = dense_half_round(rho.matrix, n, m0, removing)
             assert np.max(np.abs(half(rho, m0).matrix - expected)) <= 1e-12
+
+
+from spinmaps.cli import dump_state, load_state, parse_config_text, run_steps  # noqa: E402
+from spinmaps.protocols import _CASCADE_STEPS, stabilize_system  # noqa: E402
+from spinmaps.register import apply_local_superop  # noqa: E402
+
+
+def random_mixed(rng, d, rank):
+    a = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    mat = a @ a.conj().T
+    return mat / np.trace(mat).real
+
+
+def dense_system_half(sys_mat, m0, removing):
+    """partial_trace(dense_half_round(|1><1| (x) rho)) on the system."""
+    n = int(np.log2(sys_mat.shape[0]))
+    out = dense_half_round(with_ancilla(sys_mat).matrix, n, m0, removing)
+    return system_of(DensityOperator(stabilization_register(n), out)).matrix
+
+
+class TestSystemStabilizationSteps:
+    """The REMOVE, INJECT and STAB steps of ``run_steps`` run on ancilla
+    blocks; they equal the dense register Kraus sums traced over the ancilla."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_run_steps_match_dense_oracle(self, n, tmp_path):
+        rng = np.random.default_rng(80 + n)
+        for m0 in range(n + 1):
+            path = tmp_path / f"rho_{m0}.json"
+            dump_state(DensityOperator(qubit_register(n), random_mixed(rng, 2**n, 3)), path)
+            config = parse_config_text(
+                f"N = {n}\nm0 = {m0}\ninitial = file:{path}\n"
+                f"schedule {{ REMOVE {m0}; INJECT {m0}; STAB {m0} }}\n"
+            )
+            prev = load_state(path).matrix
+            halves = [(True,), (False,), (True, False)]
+            for (_, rho), steps in zip(run_steps(config), halves):
+                expected = prev
+                for removing in steps:
+                    expected = dense_system_half(expected, m0, removing)
+                assert np.max(np.abs(rho.matrix - expected)) <= 1e-12
+                prev = rho.matrix
+
+    def test_requires_a_system_register(self):
+        rho = with_ancilla(equal_superposition(2))
+        with pytest.raises(RegisterError):
+            stabilize_system(rho, 1, removing=True)
+
+    def test_m0_range_is_checked(self):
+        rho = DensityOperator(qubit_register(2), equal_superposition(2))
+        with pytest.raises(RegisterError):
+            stabilize_system(rho, 3, removing=False)
+
+
+class TestFoldedCascadeStep:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("park_level", [0, 1])
+    def test_equals_swap_then_park_on_ancilla_diagonal_states(self, n, park_level):
+        rng = np.random.default_rng(90 + 2 * n + park_level)
+        d = 2**n
+        dims = stabilization_register(n).ion_dims
+        for site in range(1, n + 1):
+            blocks = [random_mixed(rng, d, 2) / 3 for _ in range(3)]
+            mat = np.zeros((3 * d, 3 * d), dtype=complex)
+            for a, blk in enumerate(blocks):
+                mat[a * d : (a + 1) * d, a * d : (a + 1) * d] = blk
+            full = apply_local_superop(mat, _SWAP_SUPEROP, (0, site), dims)
+            full = apply_local_superop(full, _PARK_SUPEROPS[park_level], (0,), dims)
+            folded = np.zeros_like(mat)
+            for (c, a), part in _CASCADE_STEPS[park_level].items():
+                term = blocks[a] if part is None else apply_local_superop(
+                    blocks[a], part, (site - 1,), (2,) * n
+                )
+                folded[c * d : (c + 1) * d, c * d : (c + 1) * d] += term
+            assert np.max(np.abs(folded - full)) <= 1e-15

@@ -335,3 +335,42 @@ class TestTableIonCap:
         (tables / "wide.txt").write_text("S_z(0.5, 40)\n")
         assert main(["verify-sequences", str(tables), "--out", str(tmp_path)]) == 0
         assert "wide.txt: ok error: table addresses 41 ions" in capsys.readouterr().out
+
+
+from spinmaps.cli import MAX_RESET_TABLE_ENTRIES  # noqa: E402
+
+
+class TestResetTableBudget:
+    """A reset table whose multiplied-out channel would exceed the entry
+    budget is a per-file error raised before anything is built."""
+
+    def write(self, tmp_path, n_ions, resets):
+        pulses = [f"S_z(0.5, {n_ions - 1})"] + [f"RESET({i % n_ions})" for i in range(resets)]
+        (tmp_path / "resets.txt").write_text("\n".join(pulses) + "\n")
+
+    def test_twelve_ions_three_resets_is_refused_unbuilt(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an over-budget reset table was interpreted")
+
+        for name in ("qubit_register", "sequence_unitary", "sequence_channel"):
+            monkeypatch.setattr(cli_module, name, refuse)
+        self.write(tmp_path, 12, 3)
+        assert 2**3 * 4**12 > MAX_RESET_TABLE_ENTRIES
+        (entry,) = verify_sequences(tmp_path)["files"]
+        assert entry["parse_ok"] is True and entry["roundtrip_ok"] is True
+        assert "3 resets on 12 ions" in entry["error"]
+        assert f"{MAX_RESET_TABLE_ENTRIES} entries" in entry["error"]
+        assert not {"unitary_ok", "channel_ok", "reference"} & set(entry)
+
+    def test_cli_reports_and_exits_zero(self, tmp_path, capsys):
+        tables = tmp_path / "tables"
+        tables.mkdir()
+        self.write(tables, 12, 3)
+        assert main(["verify-sequences", str(tables), "--out", str(tmp_path)]) == 0
+        assert "resets.txt: ok error: table has 3 resets" in capsys.readouterr().out
+
+    def test_six_ions_six_resets_is_still_checked(self, tmp_path):
+        self.write(tmp_path, 6, 6)
+        (entry,) = verify_sequences(tmp_path)["files"]
+        assert entry["channel_ok"] is True
+        assert "error" not in entry
