@@ -32,6 +32,7 @@ from .register import (
     apply_local_superop,
     basis_bits,
     embed_operator,
+    hermitize,
     qubit_register,
 )
 
@@ -241,16 +242,11 @@ _cached_hamiltonian_map = lru_cache(maxsize=64)(elementary_hamiltonian_map)
 def _pair_sweep(rho: DensityOperator, channel: Channel, periodic: bool) -> DensityOperator:
     """Apply one pair channel on every sweep pair in order, then re-Hermitize."""
     n = rho.layout.n_ions
-    mat = rho.matrix
+    mat = rho.matrix.copy()  # the one working state: every pair applies in place
     for site in _sweep_sites(n, periodic):
         ions = _sites_to_ions(site, n, periodic)
-        mat = apply_local_superop(mat, channel.superop, ions, rho.layout.ion_dims)
-    # Re-Hermitized in place, so no d x d sum is held next to the fresh output.
-    if mat is rho.matrix:
-        mat = mat.copy()
-    mat += mat.conj().T
-    mat *= 0.5
-    return DensityOperator(rho.layout, mat)
+        apply_local_superop(mat, channel.superop, ions, rho.layout.ion_dims, out=mat)
+    return DensityOperator(rho.layout, hermitize(mat))
 
 
 def apply_dissipative_map(rho: DensityOperator, spec: DissipativeMapSpec, periodic: bool = False) -> DensityOperator:

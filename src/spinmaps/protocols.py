@@ -34,6 +34,7 @@ from .register import (
     RegisterLayout,
     apply_local_superop,
     excitation_numbers,
+    hermitize,
     kraus_superop,
     system_with_ancilla,
 )
@@ -172,15 +173,13 @@ def _cascade_step(park_level: int) -> dict[tuple[int, int], np.ndarray | None]:
     """Swap-then-park on (ancilla, site), folded once as the superoperator of
     ``{(P_k (x) 1_site) U_swap}``, split into its nonzero ancilla-diagonal
     parts ``(c, c) <- (a, a)``: 4x4 superoperators on the site, ``None`` for
-    an identity part (parked population stays parked)."""
+    an identity part (parked population stays parked).  Parts are ordered by
+    source level ``a``, and an identity part comes last among its level's."""
     kraus = [np.kron(p, np.eye(2)) @ _swap_gate() for p in park_kraus_ops(park_level)]
     t = kraus_superop(kraus).reshape((3, 2) * 4)
-    parts = {(c, a): t[c, :, c, :, a, :, a, :].reshape(4, 4) for c in range(3) for a in range(3)}
-    return {
-        key: None if np.array_equal(part, np.eye(4)) else part
-        for key, part in parts.items()
-        if np.any(part)
-    }
+    parts = {(c, a): t[c, :, c, :, a, :, a, :].reshape(4, 4) for a in range(3) for c in range(3)}
+    parts = {k: None if np.array_equal(p, np.eye(4)) else p for k, p in parts.items() if np.any(p)}
+    return dict(sorted(parts.items(), key=lambda kv: (kv[0][1], kv[1] is None)))
 
 
 _CASCADE_STEPS = tuple(_cascade_step(level) for level in (0, 1))
@@ -241,22 +240,21 @@ def _stabilize_half(
     parked = [b for b in (detected(park_level), blocks.get((2, 2))) if b is not None]
     diag = {1 - park_level: detected(1 - park_level), 2: sum(parked) if parked else None}
     diag = {a: b for a, b in diag.items() if b is not None}
-    dims = (2,) * n
+    # Every block in diag is owned here: the last part that reads a block
+    # writes into it, and parts add up per output level in source order.
     step = _CASCADE_STEPS[park_level]
+    last_reader = {a: c for c, a in step}
     for site in _cascade_sites(n, m0, removing):
         new: dict[int, np.ndarray] = {}
         for (c, a), part in step.items():
             if a in diag:
+                out = diag[a] if last_reader[a] == c else None
                 term = diag[a] if part is None else apply_local_superop(
-                    diag[a], part, (site - 1,), dims
-                )
-                new[c] = term if c not in new else new[c] + term
+                    diag[a], part, (site - 1,), (2,) * n, out=out)
+                new[c] = np.add(new[c], term, out=new[c]) if c in new else term
         diag = new
     # The pump sends every ancilla level to |1>.
-    sigma = sum(diag.values())
-    sigma += sigma.conj().T
-    sigma *= 0.5
-    return sigma
+    return hermitize(sum(diag[c] for c in sorted(diag)))
 
 
 def _half_round(rho: DensityOperator, m0: int, removing: bool) -> DensityOperator:

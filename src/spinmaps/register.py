@@ -13,20 +13,14 @@ Conventions used throughout the package:
   span{|0>, |1>} and annihilate ``|2>``, except gate unitaries, which keep
   it; identity factors keep ``|2>`` untouched.
 * :func:`embed_operator` is the one embedder of a local operator into the
-  register and :func:`apply_local_superop` the one local apply path.
+  register and :func:`apply_local_superop` the one local apply path: it works
+  tile by tile through a transposed view of the state, never permuting it,
+  and may write into its input.  :func:`hermitize` is ``(m + m^dag) / 2`` in
+  place, also by tiles.
 * This module owns the superoperator convention, row-major ``A rho B <-> A (x) B^T``;
   only :func:`kraus_superop` folds a Kraus set, ``sum K (x) conj(K)``.
-* :class:`DensityOperator` validates block by block.  On an all-qubit
-  register whose matrix passes the exact count test
-  ``count_nonzero(mat) == sum(count_nonzero(block))`` over the excitation
-  sectors (every map of the paper conserves total S_z), the Hermiticity
-  residual, the Hermitian part ``H`` and positivity are all computed on
-  those sectors; no d x d temporary is made.  Any other matrix takes the
-  dense path, where the sectors are still used for positivity when ``H``
-  passes the count test; otherwise ``H`` is one dense block.  Each block is
-  first tried by a Cholesky factorization just inside the floor, and
-  ``eigvalsh`` decides when one fails.  The tolerances and messages are the
-  same on every path.
+* :class:`DensityOperator` validates block by block, on the excitation
+  sectors where the matrix allows it; its docstring states the paths.
 """
 
 from __future__ import annotations
@@ -242,15 +236,10 @@ class DensityOperator:
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise RegisterError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
         if blocks is None:
-            # The Hermitian part is built in the adjoint's own buffer, after
-            # the residual, so validation never holds more than two extra
-            # d x d arrays; sharing one adjoint with the residual would hold more.
-            h = mat.conj().T
-            h += mat
-            h *= 0.5
-            blocks = _hermitian_blocks(self.layout, h)
+            # one d x d copy, made once the residual's temporaries are freed
+            blocks = _hermitian_blocks(self.layout, hermitize(mat.copy()))
         else:
-            blocks = [0.5 * (b + b.conj().T) for b in blocks]
+            blocks = [hermitize(b) for b in blocks]  # fresh copies of the sectors
         if all(_clears_floor(block) for block in blocks):
             return
         lo = float(np.min(np.concatenate([np.linalg.eigvalsh(b) for b in blocks])))
@@ -390,15 +379,6 @@ def check_sites(sites: Sequence[int], n: int) -> None:
         raise RegisterError(f"sites {tuple(sites)} are not distinct ions of a {n}-ion register")
 
 
-def _moved_axes(n: int, sites: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Permutation bringing ket/bra axes of ``sites`` to the front."""
-    check_sites(sites, n)
-    rest = [i for i in range(n) if i not in sites]
-    ket = list(sites) + rest
-    bra = [n + i for i in ket]
-    return ket, bra
-
-
 def embed_operator(
     op: np.ndarray, sites: Sequence[int], dims: Sequence[int]
 ) -> np.ndarray:
@@ -407,15 +387,16 @@ def embed_operator(
     ``op`` is indexed in the order of ``sites``, which need be neither sorted
     nor contiguous.
     """
-    dims = tuple(dims)
-    ket, bra = _moved_axes(len(dims), sites)
+    dims, n = tuple(dims), len(dims)
+    check_sites(sites, n)
+    ket = list(sites) + [i for i in range(n) if i not in sites]
     d = int(np.prod(dims))
     d_loc = int(np.prod([dims[s] for s in sites]))
     if op.shape != (d_loc, d_loc):
         raise RegisterError(f"operator shape {op.shape} does not fit sites {sites}")
     full = np.kron(op, np.eye(d // d_loc, dtype=complex))
     t = full.reshape([dims[i] for i in ket] * 2)
-    return t.transpose(np.argsort(ket + bra)).reshape(d, d)
+    return t.transpose(np.argsort(ket + [n + i for i in ket])).reshape(d, d)
 
 
 def kraus_superop(kraus: Iterable[np.ndarray]) -> np.ndarray:
@@ -423,25 +404,62 @@ def kraus_superop(kraus: Iterable[np.ndarray]) -> np.ndarray:
     return sum(np.kron(k, k.conj()) for k in kraus)
 
 
+# Largest tile of the local apply and of :func:`hermitize`, in complex entries
+# (64 KB).  A tile's temporaries then reuse freed heap memory; 256-512 KB tiles
+# went through glibc's mmap threshold once per tile, about 3x slower at N = 12.
+_TILE_ENTRIES = 2**12
+
+
+@lru_cache(maxsize=None)
+def _tile_plan(sites: tuple[int, ...], dims: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """Axis order (outer, site kets, site bras, other rest axes) of the state's
+    ``dims + dims`` view, and the outer shape: rest kets, then rest bras,
+    until one tile (one outer index) holds at most ``_TILE_ENTRIES`` entries."""
+    n = len(dims)
+    check_sites(sites, n)
+    inner = [ax for ax in range(2 * n) if ax % n not in sites]
+    outer, tile = [], int(np.prod(dims)) ** 2
+    while inner and tile > _TILE_ENTRIES:
+        outer.append(inner.pop(0))
+        tile //= dims[outer[-1] % n]
+    order = outer + list(sites) + [n + s for s in sites] + inner
+    return tuple(order), tuple(dims[ax % n] for ax in outer)
+
+
 def apply_local_superop(
-    rho_mat: np.ndarray, superop: np.ndarray, sites: Sequence[int], dims: Sequence[int]
+    rho_mat: np.ndarray, superop: np.ndarray, sites: Sequence[int], dims: Sequence[int],
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Apply a row-major superoperator of shape ``(d_loc**2, d_loc**2)`` supported
-    on ``sites``; the full state is permuted only once per application."""
+    on ``sites`` into ``out`` (fresh if ``None``; may be ``rho_mat`` itself).
+    Each tile of the :func:`_tile_plan` view is multiplied and written back;
+    tiles do not overlap and are read in full first, so in place is exact."""
     dims = tuple(dims)
-    ket, bra = _moved_axes(len(dims), sites)
-    d = int(np.prod(dims))
+    order, outer = _tile_plan(tuple(sites), dims)
     d_loc = int(np.prod([dims[s] for s in sites]))
     if superop.shape != (d_loc * d_loc, d_loc * d_loc):
         raise RegisterError(f"superoperator shape {superop.shape} does not fit sites {sites}")
-    d_rest = d // d_loc
-    perm = ket + bra
-    t = rho_mat.reshape(dims + dims).transpose(perm)
-    t = t.reshape(d_loc, d_rest, d_loc, d_rest).transpose(0, 2, 1, 3)
-    t = t.reshape(d_loc * d_loc, d_rest * d_rest)
-    t = (superop @ t).reshape(d_loc, d_loc, d_rest, d_rest).transpose(0, 2, 1, 3)
-    t = t.reshape([dims[i] for i in ket] * 2)
-    return t.transpose(np.argsort(perm)).reshape(d, d)
+    if out is None:
+        out = np.empty(rho_mat.shape, np.result_type(rho_mat, superop))
+    src = rho_mat.reshape(dims + dims).transpose(order)
+    dst = out.reshape(dims + dims, copy=False).transpose(order)
+    for idx in np.ndindex(outer):
+        tile = src[idx]
+        dst[idx] = (superop @ tile.reshape(d_loc * d_loc, -1)).reshape(tile.shape)
+    return out
+
+
+def hermitize(mat: np.ndarray) -> np.ndarray:
+    """Overwrite the square ``mat`` with ``0.5 * (mat + mat.conj().T)``, bytewise,
+    one mirrored pair of tiles at a time, both computed from the old values."""
+    edge = int(_TILE_ENTRIES**0.5)
+    for i in range(0, len(mat), edge):
+        for j in range(i, len(mat), edge):
+            upper, lower = mat[i : i + edge, j : j + edge], mat[j : j + edge, i : i + edge]
+            new_upper = 0.5 * (upper + lower.conj().T)
+            lower[...] = 0.5 * (lower + upper.conj().T)
+            upper[...] = new_upper
+    return mat
 
 
 def partial_trace(rho: DensityOperator, ions: Iterable[int]) -> DensityOperator:

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 from math import pi
 
+from spinmaps import lindblad
+from spinmaps.channels import trace_distance
+from spinmaps.maps import apply_hamiltonian_map, composite_dissipative_sweep
 from spinmaps.lindblad import (
     MasterEqSpec,
     compare_stroboscopic,
@@ -122,6 +125,29 @@ class TestStroboscopicComparison:
         rho = basis_state(qubit_register(2), [1, 0]).density()
         with pytest.raises(RegisterError):
             compare_stroboscopic(rho, 0.5, 0.0, n_steps=2)
+
+    @pytest.mark.parametrize("n,theta,g", [(3, 0.2, 1.0), (4, 0.1, 10.0), (5, 0.2, 0.0)])
+    def test_equals_comparison_over_full_trajectories(self, monkeypatch, n, theta, g):
+        """Validating only the compared states leaves the result unchanged:
+        it equals the worst trace distance against the endpoint of each
+        unit-time ``integrate`` trajectory, and one state is validated per
+        map step instead of one per RK4 step."""
+        rho0 = basis_state(qubit_register(n), [1, 0] * (n // 2) + [1] * (n % 2)).density()
+        phi, n_steps = g * theta**2, 3
+        spec = MasterEqSpec(n, u=phi, kappa=theta**2)
+        dt = 1.0 / max(4, int(np.ceil((abs(phi) + theta**2) / 0.05)))
+        strobe, cont, expected = rho0, rho0, 0.0
+        for _ in range(n_steps):
+            strobe = composite_dissipative_sweep(strobe, theta)
+            if phi != 0.0:
+                strobe = apply_hamiltonian_map(strobe, phi)
+            cont = integrate(cont, spec, 1.0, dt)[-1]
+            expected = max(expected, trace_distance(strobe, cont))
+        built = []
+        monkeypatch.setattr(
+            lindblad, "DensityOperator", lambda *a: built.append(a) or DensityOperator(*a))
+        assert compare_stroboscopic(rho0, theta, phi, n_steps) == expected
+        assert len(built) == n_steps
 
 
 from spinmaps.maps import interaction_hamiltonian, jump_operator  # noqa: E402

@@ -408,3 +408,38 @@ class TestPairSweepHermitization:
         out = apply_hamiltonian_map(rho, 0.3, 0.01)
         assert out.matrix is not rho.matrix
         assert rho.matrix.tobytes() == mat.tobytes() == out.matrix.tobytes()
+
+
+def _sector_mixed_state(rng, n):
+    """Random mixture of one random pure state per excitation sector."""
+    d = 2**n
+    counts = np.array([bin(b).count("1") for b in range(d)])
+    mat = np.zeros((d, d), dtype=complex)
+    for k in range(n + 1):
+        idx = np.flatnonzero(counts == k)
+        v = rng.standard_normal(len(idx)) + 1j * rng.standard_normal(len(idx))
+        mat[np.ix_(idx, idx)] += np.outer(v, v.conj()) / np.vdot(v, v).real / (n + 1)
+    return DensityOperator(qubit_register(n), mat)
+
+
+class TestSweepMemory:
+    """A sweep holds its input plus one working state: every pair is applied
+    in place and the re-Hermitization is tiled.  The sector state keeps the
+    validation on its blocks, so the peak is the sweep's own."""
+
+    @pytest.mark.parametrize("sweep", [
+        lambda rho: composite_dissipative_sweep(rho, 0.7, 0.02),
+        lambda rho: apply_hamiltonian_map(rho, 0.25, 0.004),
+    ], ids=["dissipative", "hamiltonian"])
+    def test_traced_peak_above_the_input(self, sweep):
+        n = 9
+        rho = _sector_mixed_state(np.random.default_rng(9), n)
+        sweep(rho)  # builds the cached pair channel and tile plans
+        tracemalloc.start()
+        try:
+            out = sweep(rho)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.matrix.shape == rho.matrix.shape
+        assert peak / (16 * 4**n) <= 1.5

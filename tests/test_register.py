@@ -668,3 +668,71 @@ class TestSectorFirstValidation:
             message = self.same_as_dense_path(monkeypatch, layout, mat)
             assert (message is None) == (offset > 0)
             assert message is None or message.startswith("smallest eigenvalue")
+
+
+from spinmaps.register import hermitize  # noqa: E402
+
+
+def kraus_oracle(rho, kraus, sites, dims):
+    """``sum_k K rho K^dag`` with every ``K`` embedded densely."""
+    embedded = [embed_operator(k, sites, dims) for k in kraus]
+    return sum(e @ rho @ e.conj().T for e in embedded)
+
+
+def _qubit_site_shapes(n):
+    shapes = [(0, 1), (n - 1, 0), (n // 2,)]
+    if n >= 3:
+        shapes += [(2, 0), (0, 2, 1)]
+    return shapes
+
+
+# d**2 <= _TILE_ENTRIES (one tile) up to qubit N = 6; N = 7..9 and the
+# 7-ion qutrit register (d = 192) split into many tiles.
+_TILED_CASES = [((2,) * n, sites) for n in range(3, 10) for sites in _qubit_site_shapes(n)] + [
+    (dims, sites)
+    for dims in [(3, 2, 2), (3, 2, 2, 2, 2, 2, 2)]
+    for sites in [(0, 1), (2, 0), (len(dims) - 1, 0), (0,), (1,), (1, 0, 2)]
+]
+
+
+class TestTiledLocalApply:
+    """The tiled kernel, out of place and in place, against a dense Kraus oracle."""
+
+    @pytest.mark.parametrize("dims,sites", _TILED_CASES)
+    def test_equals_dense_kraus_oracle(self, dims, sites):
+        rng = np.random.default_rng(len(dims) * 31 + sum(sites) * 7 + len(sites))
+        d = int(np.prod(dims))
+        d_loc = int(np.prod([dims[s] for s in sites]))
+        rho = random_operator(rng, d)  # neither Hermitian nor unit trace
+        kraus = [random_operator(rng, d_loc) / d_loc for _ in range(2)]
+        superop = kraus_superop(kraus)
+        before = rho.copy()
+        out = apply_local_superop(rho, superop, sites, dims)
+        assert rho.tobytes() == before.tobytes()
+        assert np.max(np.abs(out - kraus_oracle(rho, kraus, sites, dims))) <= 1e-13
+        in_place = apply_local_superop(rho, superop, sites, dims, out=rho)
+        assert in_place is rho
+        assert rho.tobytes() == out.tobytes()
+
+    def test_writes_into_a_strided_view(self):
+        rng = np.random.default_rng(6)
+        dims, sites = (3, 2, 2, 2, 2), (4, 0)
+        rho, superop = random_operator(rng, 48), random_operator(rng, 36)
+        held = np.zeros((3 * 48, 2 * 48), dtype=complex)
+        view = held[::3, 48:]
+        apply_local_superop(rho, superop, sites, dims, out=view)
+        assert view.tobytes() == apply_local_superop(rho, superop, sites, dims).tobytes()
+        assert not np.any(held[1::3]) and not np.any(held[:, :48])
+
+
+class TestHermitize:
+    # d = 96 ends in a partial tile; d = 512 is 8 x 8 full tiles
+    @pytest.mark.parametrize("dims", [(3, 2, 2, 2, 2), (2,) * 9, (2,), (3, 2)])
+    def test_bytewise_the_out_of_place_form(self, dims):
+        rng = np.random.default_rng(len(dims))
+        d = int(np.prod(dims))
+        # the real-valued matrix has zero imaginary parts, whose sign must survive
+        for mat in (random_operator(rng, d), rng.standard_normal((d, d)).astype(complex)):
+            expected = (0.5 * (mat + mat.conj().T)).tobytes()
+            assert hermitize(mat) is mat
+            assert mat.tobytes() == expected
