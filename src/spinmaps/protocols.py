@@ -173,13 +173,11 @@ def _cascade_step(park_level: int) -> dict[tuple[int, int], np.ndarray | None]:
     """Swap-then-park on (ancilla, site), folded once as the superoperator of
     ``{(P_k (x) 1_site) U_swap}``, split into its nonzero ancilla-diagonal
     parts ``(c, c) <- (a, a)``: 4x4 superoperators on the site, ``None`` for
-    an identity part (parked population stays parked).  Parts are ordered by
-    source level ``a``, and an identity part comes last among its level's."""
+    an identity part (parked population stays parked)."""
     kraus = [np.kron(p, np.eye(2)) @ _swap_gate() for p in park_kraus_ops(park_level)]
     t = kraus_superop(kraus).reshape((3, 2) * 4)
-    parts = {(c, a): t[c, :, c, :, a, :, a, :].reshape(4, 4) for a in range(3) for c in range(3)}
-    parts = {k: None if np.array_equal(p, np.eye(4)) else p for k, p in parts.items() if np.any(p)}
-    return dict(sorted(parts.items(), key=lambda kv: (kv[0][1], kv[1] is None)))
+    parts = {(c, a): t[c, :, c, :, a, :, a, :].reshape(4, 4) for c in range(3) for a in range(3)}
+    return {k: None if np.array_equal(p, np.eye(4)) else p for k, p in parts.items() if np.any(p)}
 
 
 _CASCADE_STEPS = tuple(_cascade_step(level) for level in (0, 1))
@@ -240,8 +238,9 @@ def _stabilize_half(
     parked = [b for b in (detected(park_level), blocks.get((2, 2))) if b is not None]
     diag = {1 - park_level: detected(1 - park_level), 2: sum(parked) if parked else None}
     diag = {a: b for a, b in diag.items() if b is not None}
-    # Every block in diag is owned here: the last part that reads a block
-    # writes into it, and parts add up per output level in source order.
+    # Every block in diag is owned here.  The last part that reads a block
+    # writes into it, and an identity part is its level's last reader, so the
+    # in-place additions never touch a block that is still to be read.
     step = _CASCADE_STEPS[park_level]
     last_reader = {a: c for c, a in step}
     for site in _cascade_sites(n, m0, removing):
@@ -254,7 +253,7 @@ def _stabilize_half(
                 new[c] = np.add(new[c], term, out=new[c]) if c in new else term
         diag = new
     # The pump sends every ancilla level to |1>.
-    return hermitize(sum(diag[c] for c in sorted(diag)))
+    return hermitize(sum(diag.values()))
 
 
 def _half_round(rho: DensityOperator, m0: int, removing: bool) -> DensityOperator:

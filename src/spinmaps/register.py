@@ -442,7 +442,10 @@ def apply_local_superop(
     if out is None:
         out = np.empty(rho_mat.shape, np.result_type(rho_mat, superop))
     src = rho_mat.reshape(dims + dims).transpose(order)
-    dst = out.reshape(dims + dims, copy=False).transpose(order)
+    dst = out.reshape(dims + dims)
+    if not np.may_share_memory(dst, out):  # reshape had to copy: writes would be lost
+        raise RegisterError("out cannot be viewed as the register's dims + dims tensor")
+    dst = dst.transpose(order)
     for idx in np.ndindex(outer):
         tile = src[idx]
         dst[idx] = (superop @ tile.reshape(d_loc * d_loc, -1)).reshape(tile.shape)

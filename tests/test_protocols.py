@@ -441,3 +441,11 @@ class TestFoldedCascadeStep:
                 )
                 folded[c * d : (c + 1) * d, c * d : (c + 1) * d] += term
             assert np.max(np.abs(folded - full)) <= 1e-15
+
+    @pytest.mark.parametrize("park_level", [0, 1])
+    def test_identity_parts_are_their_levels_last_reader(self, park_level):
+        # the in-place cascade adds into an identity part's block: nothing may read it later
+        step = list(_CASCADE_STEPS[park_level].items())
+        for i, ((_, a), part) in enumerate(step):
+            if part is None:
+                assert all(later_a != a for (_, later_a), _ in step[i + 1 :])

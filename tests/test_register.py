@@ -724,6 +724,15 @@ class TestTiledLocalApply:
         assert view.tobytes() == apply_local_superop(rho, superop, sites, dims).tobytes()
         assert not np.any(held[1::3]) and not np.any(held[:, :48])
 
+    def test_rejects_an_out_that_reshape_would_copy(self):
+        rng = np.random.default_rng(7)
+        dims, sites = (3, 2, 2, 2, 2), (1,)
+        rho, superop = random_operator(rng, 48), random_operator(rng, 4)
+        # merging the two leading axes of this view needs a copy
+        out = np.zeros((24, 2, 48), dtype=complex).transpose(1, 0, 2)
+        with pytest.raises(RegisterError, match="cannot be viewed"):
+            apply_local_superop(rho, superop, sites, dims, out=out)
+
 
 class TestHermitize:
     # d = 96 ends in a partial tile; d = 512 is 8 x 8 full tiles
