@@ -178,11 +178,10 @@ def circuit_dissipative_map(spec: DissipativeMapSpec) -> Channel:
 
 
 def interaction_hamiltonian(n: int, periodic: bool = False) -> np.ndarray:
-    """Diagonal H = sum_i (1+sigma_i^z)(1+sigma_{i+1}^z)/4: counts adjacent
-    up-up pairs."""
+    """Diagonal of H = sum_i (1+sigma_i^z)(1+sigma_{i+1}^z)/4 in the
+    computational basis: the integer count of adjacent up-up pairs."""
     bits, sites = basis_bits(n), np.array(_sweep_sites(n, periodic), dtype=int)
-    diag = (bits[:, sites - 1] & bits[:, sites % n]).sum(axis=1)
-    return np.diag(diag.astype(complex))
+    return (bits[:, sites - 1] & bits[:, sites % n]).sum(axis=1)
 
 
 def _pair_interaction_unitary(phi: float) -> np.ndarray:
@@ -211,8 +210,7 @@ def hamiltonian_map(spec: HamiltonianMapSpec, n: int, periodic: bool = False) ->
     """
     layout = qubit_register(n)
     if spec.epsilon_coh == 0.0:
-        h = interaction_hamiltonian(n, periodic)
-        u = np.diag(np.exp(-1j * spec.phi * np.diag(h)))
+        u = np.diag(np.exp(-1j * spec.phi * interaction_hamiltonian(n, periodic)))
         return unitary_channel(layout, u, f"U(phi={spec.phi:g})")
     pairs = _sweep_sites(n, periodic)
     if len(pairs) > _MATERIALIZE_MAX_PAIRS:

@@ -12,11 +12,14 @@ register state, never on the ``3 * 2^N`` register itself.  This is exact:
 every park Kraus set ``{|2><s|, |o><o|, |2><2|}`` removes all coherence
 between ancilla levels, and the pump sends every level to ``|1>``.  So
 after the detector and the first park the state is ancilla-diagonal,
-``sum_a |a><a| (x) rho_a`` with at most two nonzero blocks (the kept level
-and the parking level 2); each swap-then-park cascade step keeps it so, and
-the pump returns ``|1><1| (x) sum_a rho_a``.  The pi pulse of the injection
-relabels ancilla levels 0 and 1, and the detector scales each block by
-per-basis-state coefficients.
+``|k><k| (x) rho_k + |2><2| (x) rho_2`` (kept level k = 0 for removal, 1 for
+injection, after the pi pulse relabels levels 0 and 1), and the pump returns
+``|1><1| (x) (rho_k + rho_2)``.  A cascade step only relabels levels: the
+swap sends ``|k, 1-k>`` to ``-i |1-k, k>`` and fixes ``|k, k>``, and the park
+moves level 1-k to 2.  So it adds the site's ``(1-k, 1-k)`` sub-block of
+``rho_k`` into the ``(k, k)`` sub-block of ``rho_2`` (phase ``|-i|^2 = 1``)
+and zeroes the rest of ``rho_k`` but its ``(k, k)`` sub-block, in place.
+The excitation-number projector is diagonal and is stored as its diagonal.
 """
 
 from __future__ import annotations
@@ -27,19 +30,14 @@ from math import comb
 
 import numpy as np
 
-from .channels import park_kraus_ops, pump_kraus_ops
 from .register import (
     DensityOperator,
     RegisterError,
     RegisterLayout,
-    apply_local_superop,
     excitation_numbers,
     hermitize,
-    kraus_superop,
     system_with_ancilla,
 )
-
-PROJECTOR_MAX_N = 12
 
 
 @dataclass(frozen=True)
@@ -47,23 +45,30 @@ class SubspaceProjector:
     """Projector onto the m-excitation subspace as a polynomial in S_z.
 
     ``alphas`` are the coefficients of sum_k alpha_k S_z^k with
-    S_z = sum_i sigma_i^z; the matrix is diagonal with unit entries on
-    computational states carrying exactly m up-spins.
+    S_z = sum_i sigma_i^z; ``diagonal`` is the projector's diagonal in the
+    computational basis, 1 on states carrying exactly m up-spins, 0 elsewhere.
     """
 
     n: int
     m: int
     alphas: tuple[float, ...]
-    matrix: np.ndarray
+    diagonal: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix)
-        if np.max(np.abs(mat @ mat - mat)) > 1e-12:
+        diag = np.asarray(self.diagonal)
+        if diag.shape != (2**self.n,):
+            raise RegisterError(f"projector diagonal has shape {diag.shape}, need ({2**self.n},)")
+        if np.max(np.abs(diag * diag - diag)) > 1e-12:
             raise RegisterError("projector not idempotent")
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
+        if np.max(np.abs(diag - diag.conj())) > 1e-12:
             raise RegisterError("projector not Hermitian")
-        if abs(np.trace(mat).real - comb(self.n, self.m)) > 1e-12:
+        if abs(np.sum(diag).real - comb(self.n, self.m)) > 1e-12:
             raise RegisterError("projector rank differs from C(N, m)")
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The projector as a dense ``2^n x 2^n`` matrix."""
+        return np.diag(self.diagonal)
 
 
 def _lagrange_coefficients(m: int, n: int) -> list[Fraction]:
@@ -91,14 +96,14 @@ def build_projector(m: int, n: int) -> SubspaceProjector:
     """Excitation-number projector P_m on N qubits.
 
     The coefficient vector solves the Vandermonde system over the S_z
-    eigenvalues exactly; the matrix equals the brute-force sum of
-    |b><b| over basis states with m up-spins.
+    eigenvalues exactly; the diagonal is 1 exactly on the basis states with
+    m up-spins, so the matrix equals the brute-force sum of |b><b| over them.
     """
-    if not 0 <= m <= n <= PROJECTOR_MAX_N:
-        raise RegisterError(f"need 0 <= m <= N <= {PROJECTOR_MAX_N}, got m={m}, N={n}")
+    if not 0 <= m <= n:
+        raise RegisterError(f"need 0 <= m <= N, got m={m}, N={n}")
     alphas = _lagrange_coefficients(m, n)
     diag = (excitation_numbers(n) == m).astype(float)
-    return SubspaceProjector(n, m, tuple(float(a) for a in alphas), np.diag(diag))
+    return SubspaceProjector(n, m, tuple(float(a) for a in alphas), diag)
 
 
 def qnd_unitary(m0: int, n: int) -> np.ndarray:
@@ -107,10 +112,12 @@ def qnd_unitary(m0: int, n: int) -> np.ndarray:
     Flips the ancilla (times -i) exactly on the m = m0 sector and acts as
     the identity elsewhere, so only the total excitation number is read out.
     """
-    proj = build_projector(m0, n).matrix.astype(complex)
+    p = build_projector(m0, n).diagonal
     dim = 2**n
-    flip = np.array([[0, -1j], [-1j, 0]], dtype=complex)  # exp(-i pi/2 X)
-    return np.kron(flip, proj) + np.kron(np.eye(2, dtype=complex), np.eye(dim) - proj)
+    u = np.diag(np.tile(1 - p, 2).astype(complex))
+    idx = np.arange(dim)
+    u[idx, dim + idx] = u[dim + idx, idx] = -1j * p  # exp(-i pi/2 X) on the sector
+    return u
 
 
 def qnd_register(n: int) -> RegisterLayout:
@@ -148,6 +155,8 @@ _DETECT_GATE = np.array(
     [[0, -1j, 0], [-1j, 0, 0], [0, 0, 1]], dtype=complex
 )  # exp(-i pi/2 X) on the qubit block of the qutrit ancilla
 
+# The pi pulse and the swap as gates; the half-round applies them as level
+# relabellings, and the tests' dense Kraus-sum oracle applies these matrices.
 _ANCILLA_PI = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
 
 
@@ -160,27 +169,16 @@ def _swap_gate() -> np.ndarray:
     return u
 
 
-# The stabilization gates folded into superoperators.  The block kernel
-# below applies the pi pulse as a relabelling of ancilla levels and the pump
-# as a sum of blocks; tests hold both to these folds.
-_PI_SUPEROP = kraus_superop((_ANCILLA_PI,))
-_SWAP_SUPEROP = kraus_superop((_swap_gate(),))
-_PARK_SUPEROPS = tuple(kraus_superop(park_kraus_ops(level)) for level in (0, 1))
-_PUMP_SUPEROP = kraus_superop(pump_kraus_ops(3, 1))
-
-
-def _cascade_step(park_level: int) -> dict[tuple[int, int], np.ndarray | None]:
-    """Swap-then-park on (ancilla, site), folded once as the superoperator of
-    ``{(P_k (x) 1_site) U_swap}``, split into its nonzero ancilla-diagonal
-    parts ``(c, c) <- (a, a)``: 4x4 superoperators on the site, ``None`` for
-    an identity part (parked population stays parked)."""
-    kraus = [np.kron(p, np.eye(2)) @ _swap_gate() for p in park_kraus_ops(park_level)]
-    t = kraus_superop(kraus).reshape((3, 2) * 4)
-    parts = {(c, a): t[c, :, c, :, a, :, a, :].reshape(4, 4) for c in range(3) for a in range(3)}
-    return {k: None if np.array_equal(p, np.eye(4)) else p for k, p in parts.items() if np.any(p)}
-
-
-_CASCADE_STEPS = tuple(_cascade_step(level) for level in (0, 1))
+def _cascade_move(kept: np.ndarray, parked: np.ndarray, site: int, n: int, stay: int) -> None:
+    """Swap-then-park at ``site`` (1-based) on ``|stay><stay| (x) kept +
+    |2><2| (x) parked``, in place: the reshapes only split axes, so they are
+    views of any strided block."""
+    shape = (2 ** (site - 1), 2, 2 ** (n - site)) * 2
+    k, p = kept.reshape(shape), parked.reshape(shape)
+    moved = 1 - stay
+    p[:, stay, :, :, stay, :] += k[:, moved, :, :, moved, :]
+    k[:, moved] = 0
+    k[:, stay, :, :, moved] = 0
 
 
 def _check_stabilization_layout(rho: DensityOperator) -> int:
@@ -232,28 +230,18 @@ def _stabilize_half(
                 out = term if out is None else out + term
         return out
 
-    # The first park keeps (keep, keep), sums the parked blocks into (2, 2)
-    # and drops every coherence between ancilla levels: from here on the
-    # state is ancilla-diagonal, held as {level: block}.
+    # The first park keeps (keep, keep) and sums the parked blocks into
+    # (2, 2).  Both are fresh arrays, so no input block is written.
+    keep = 1 - park_level
+    kept = detected(keep)
     parked = [b for b in (detected(park_level), blocks.get((2, 2))) if b is not None]
-    diag = {1 - park_level: detected(1 - park_level), 2: sum(parked) if parked else None}
-    diag = {a: b for a, b in diag.items() if b is not None}
-    # Every block in diag is owned here.  The last part that reads a block
-    # writes into it, and an identity part is its level's last reader, so the
-    # in-place additions never touch a block that is still to be read.
-    step = _CASCADE_STEPS[park_level]
-    last_reader = {a: c for c, a in step}
-    for site in _cascade_sites(n, m0, removing):
-        new: dict[int, np.ndarray] = {}
-        for (c, a), part in step.items():
-            if a in diag:
-                out = diag[a] if last_reader[a] == c else None
-                term = diag[a] if part is None else apply_local_superop(
-                    diag[a], part, (site - 1,), (2,) * n, out=out)
-                new[c] = np.add(new[c], term, out=new[c]) if c in new else term
-        diag = new
+    parked = sum(parked) if parked else None
+    if kept is not None:
+        parked = np.zeros_like(kept) if parked is None else parked
+        for site in _cascade_sites(n, m0, removing):
+            _cascade_move(kept, parked, site, n, stay=keep)
     # The pump sends every ancilla level to |1>.
-    return hermitize(sum(diag.values()))
+    return hermitize(sum(b for b in (kept, parked) if b is not None))
 
 
 def _half_round(rho: DensityOperator, m0: int, removing: bool) -> DensityOperator:

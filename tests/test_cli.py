@@ -648,7 +648,7 @@ class TestStreamingRun:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * state_bytes, peak / state_bytes
+        assert peak <= 5 * state_bytes, peak / state_bytes
 
     def test_invariant_violation_keeps_the_completed_dumps_only(self, tmp_path, capsys):
         for name, schedule in (("good", "SWEEP; SWEEP"), ("bad", "SWEEP; SWEEP; QND 3")):

@@ -44,7 +44,7 @@ class TestLiouvillian:
         rho = DensityOperator(qubit_register(2), dm(vec))
         from spinmaps.maps import interaction_hamiltonian
 
-        h = interaction_hamiltonian(2)
+        h = np.diag(interaction_hamiltonian(2))
         u = 0.9
         deriv = liouvillian_apply(rho, MasterEqSpec(2, u=u, kappa=0.0))
         expected = -1j * u * (h @ rho.matrix - rho.matrix @ h)
@@ -155,7 +155,7 @@ from spinmaps.maps import interaction_hamiltonian, jump_operator  # noqa: E402
 
 def dense_liouvillian(rho, n, u, kappa):
     """-i U [H, rho] + kappa sum_i (c rho c^dag - {c^dag c, rho}/2), all dense."""
-    h = interaction_hamiltonian(n)
+    h = np.diag(interaction_hamiltonian(n))
     out = -1j * u * (h @ rho - rho @ h)
     for i in range(1, n):
         c = jump_operator(i, n)

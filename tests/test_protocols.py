@@ -96,12 +96,15 @@ class TestProjector:
     def test_range_errors(self):
         with pytest.raises(RegisterError):
             build_projector(4, 3)
-        with pytest.raises(RegisterError):
-            build_projector(0, 13)
+        assert build_projector(7, 14).diagonal.sum() == comb(14, 7)
 
     def test_idempotence_is_validated(self):
-        with pytest.raises(RegisterError):
-            SubspaceProjector(2, 1, (0.0,) * 3, np.diag([0.5, 0.5, 0.0, 0.0]))
+        with pytest.raises(RegisterError, match="idempotent"):
+            SubspaceProjector(2, 1, (0.0,) * 3, np.array([0.5, 0.5, 0.0, 0.0]))
+
+    def test_diagonal_shape_is_validated(self):
+        with pytest.raises(RegisterError, match="shape"):
+            SubspaceProjector(2, 1, (0.0,) * 3, np.diag([0.0, 1.0, 1.0, 0.0]))
 
 
 class TestQndUnitary:
@@ -313,10 +316,7 @@ from spinmaps.channels import park_kraus_ops, pump_kraus_ops  # noqa: E402
 from spinmaps.protocols import (  # noqa: E402
     _ANCILLA_PI,
     _DETECT_GATE,
-    _PARK_SUPEROPS,
-    _PI_SUPEROP,
-    _PUMP_SUPEROP,
-    _SWAP_SUPEROP,
+    _cascade_move,
     _cascade_sites,
     _swap_gate,
 )
@@ -347,13 +347,6 @@ def dense_half_round(mat, n, m0, removing):
 
 
 class TestFoldedStabilizationGates:
-    def test_each_gate_is_the_fold_of_its_kraus_set(self):
-        folded = [(_PI_SUPEROP, (_ANCILLA_PI,)), (_SWAP_SUPEROP, (_swap_gate(),)),
-                  (_PUMP_SUPEROP, pump_kraus_ops(3, 1))]
-        folded += [(_PARK_SUPEROPS[level], park_kraus_ops(level)) for level in (0, 1)]
-        for superop, kraus in folded:
-            assert np.array_equal(superop, kraus_superop(kraus))
-
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("removing", [True, False])
     def test_half_rounds_match_dense_kraus_sums(self, n, removing):
@@ -369,7 +362,7 @@ class TestFoldedStabilizationGates:
 
 
 from spinmaps.cli import dump_state, load_state, parse_config_text, run_steps  # noqa: E402
-from spinmaps.protocols import _CASCADE_STEPS, stabilize_system  # noqa: E402
+from spinmaps.protocols import stabilize_system  # noqa: E402
 from spinmaps.register import apply_local_superop  # noqa: E402
 
 
@@ -420,32 +413,42 @@ class TestSystemStabilizationSteps:
             stabilize_system(rho, 3, removing=False)
 
 
-class TestFoldedCascadeStep:
+class TestCascadeMove:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("park_level", [0, 1])
     def test_equals_swap_then_park_on_ancilla_diagonal_states(self, n, park_level):
+        # kept level 1 - park_level and parking level 2 carry the state
         rng = np.random.default_rng(90 + 2 * n + park_level)
-        d = 2**n
+        d, keep = 2**n, 1 - park_level
         dims = stabilization_register(n).ion_dims
+        swap = kraus_superop((_swap_gate(),))
+        park = kraus_superop(park_kraus_ops(park_level))
         for site in range(1, n + 1):
-            blocks = [random_mixed(rng, d, 2) / 3 for _ in range(3)]
+            kept, parked = (random_mixed(rng, d, 2) / 2 for _ in range(2))
             mat = np.zeros((3 * d, 3 * d), dtype=complex)
-            for a, blk in enumerate(blocks):
-                mat[a * d : (a + 1) * d, a * d : (a + 1) * d] = blk
-            full = apply_local_superop(mat, _SWAP_SUPEROP, (0, site), dims)
-            full = apply_local_superop(full, _PARK_SUPEROPS[park_level], (0,), dims)
-            folded = np.zeros_like(mat)
-            for (c, a), part in _CASCADE_STEPS[park_level].items():
-                term = blocks[a] if part is None else apply_local_superop(
-                    blocks[a], part, (site - 1,), (2,) * n
-                )
-                folded[c * d : (c + 1) * d, c * d : (c + 1) * d] += term
-            assert np.max(np.abs(folded - full)) <= 1e-15
+            mat[keep * d : (keep + 1) * d, keep * d : (keep + 1) * d] = kept
+            mat[2 * d :, 2 * d :] = parked
+            full = apply_local_superop(mat, swap, (0, site), dims)
+            full = apply_local_superop(full, park, (0,), dims)
+            _cascade_move(kept, parked, site, n, stay=keep)
+            moved = np.zeros_like(mat)
+            moved[keep * d : (keep + 1) * d, keep * d : (keep + 1) * d] = kept
+            moved[2 * d :, 2 * d :] = parked
+            assert np.max(np.abs(moved - full)) <= 1e-15
 
-    @pytest.mark.parametrize("park_level", [0, 1])
-    def test_identity_parts_are_their_levels_last_reader(self, park_level):
-        # the in-place cascade adds into an identity part's block: nothing may read it later
-        step = list(_CASCADE_STEPS[park_level].items())
-        for i, ((_, a), part) in enumerate(step):
-            if part is None:
-                assert all(later_a != a for (_, later_a), _ in step[i + 1 :])
+
+class TestInputsAreNotWritten:
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_half_rounds_leave_their_input_unchanged(self, n):
+        rng = np.random.default_rng(100 + n)
+        for m0 in range(n + 1):
+            reg = random_mixed(rng, 3 * 2**n, 3)  # every ancilla block nonzero, (2, 2) too
+            sys_mat = random_mixed(rng, 2**n, 3)
+            calls = [(half, DensityOperator(stabilization_register(n), reg), ())
+                     for half in (stabilize_remove, stabilize_inject)]
+            calls += [(stabilize_system, DensityOperator(qubit_register(n), sys_mat), (removing,))
+                      for removing in (True, False)]
+            for half, rho, args in calls:
+                before = rho.matrix.tobytes()
+                half(rho, m0, *args)
+                assert rho.matrix.tobytes() == before
