@@ -1,5 +1,9 @@
 """Figures of merit: Dicke states, fidelity, purity, subspace populations,
-off-diagonal order and the closed-form Dicke-mixture analytics."""
+off-diagonal order and the closed-form Dicke-mixture analytics.
+
+Fidelity, populations and off-diagonal order read only diagonal
+excitation-sector blocks, through :meth:`DensityOperator.sector_block`, so
+each has one formula for the dense and the blocked form."""
 
 from __future__ import annotations
 
@@ -13,6 +17,7 @@ from .register import (
     PureState,
     RegisterError,
     RegisterLayout,
+    _sector_positions,
     basis_bits,
     excitation_numbers as _excitation_numbers,
     qubit_register,
@@ -39,21 +44,21 @@ def dicke_state(m: int, n: int) -> PureState:
 def dicke_fidelity(rho: DensityOperator, m: int, n: int) -> float:
     """Overlap fidelity <D(m,N)| rho |D(m,N)>."""
     _check_system_register(rho.layout, n)
-    d = dicke_state(m, n).vector
-    return float(np.real(d.conj() @ rho.matrix @ d))
+    d = dicke_state(m, n).vector[_excitation_numbers(n) == m]  # its sector-m part
+    return float(np.real(d.conj() @ rho.sector_block(m) @ d))
 
 
 def purity(rho: DensityOperator) -> float:
-    """Tr rho^2, summed as |rho_ij|^2 since rho is Hermitian."""
-    return float(np.vdot(rho.matrix, rho.matrix).real)
+    """Tr rho^2, summed as |rho_ij|^2 over the stored entries since rho is Hermitian."""
+    stored = rho.matrix if rho.sectors is None else rho.sectors
+    return float(np.vdot(stored, stored).real)
 
 
 def subspace_populations(rho: DensityOperator) -> np.ndarray:
     """Vector of Tr(P_m rho) over excitation numbers m = 0..N."""
     n = rho.layout.n_ions
     _check_system_register(rho.layout, n)
-    diag = np.real(np.diag(rho.matrix))
-    return np.bincount(_excitation_numbers(n), weights=diag, minlength=n + 1)
+    return np.array([np.trace(rho.sector_block(m)).real for m in range(n + 1)])
 
 
 def offdiag_order(rho: DensityOperator, m0: int) -> float:
@@ -66,14 +71,16 @@ def offdiag_order(rho: DensityOperator, m0: int) -> float:
     n = rho.layout.n_ions
     _check_system_register(rho.layout, n)
     mask = _excitation_numbers(n) == m0
-    weight = float(np.real(np.diag(rho.matrix)[mask].sum()))
+    block = rho.sector_block(m0)
+    weight = float(np.real(np.trace(block)))
     if weight < EMPTY_SUBSPACE_TOL:
         raise RegisterError(f"no population in the m={m0} subspace")
     # hop pairs: b has ion j up and ion j+1 down, t is b with the two swapped
     bits = basis_bits(n)
     b, j = np.nonzero((bits[:, :-1] > bits[:, 1:]) & mask[:, None])
     t = b - (1 << (n - 2 - j))
-    return float(np.real(rho.matrix[b, t].sum())) / weight
+    pos = _sector_positions(n)
+    return float(np.real(block[pos[b], pos[t]].sum())) / weight
 
 
 def dicke_mixture(n: int) -> DensityOperator:

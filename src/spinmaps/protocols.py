@@ -36,6 +36,8 @@ from .register import (
     RegisterLayout,
     excitation_numbers,
     hermitize,
+    sector_buffer,
+    sector_views,
     system_with_ancilla,
 )
 
@@ -133,20 +135,22 @@ def stabilization_register(n: int) -> RegisterLayout:
 def postselect(rho: DensityOperator, m0: int) -> tuple[DensityOperator | None, float]:
     """Project onto the m0-excitation subspace of a system register.
 
-    Returns the renormalized post-measurement state and the success
-    probability Tr(P rho); zero support is signaled as ``(None, 0.0)``.
+    Returns the renormalized post-measurement state, blocked since it lies in
+    one sector, and the success probability Tr(P rho); zero support is
+    signaled as ``(None, 0.0)``.
     """
     n = rho.layout.n_ions
     if rho.layout.ion_dims != (2,) * n:
         raise RegisterError("postselect expects a system-only qubit register")
-    mask = excitation_numbers(n) == m0
-    block = rho.matrix[np.ix_(mask, mask)]
+    if not 0 <= m0 <= n:
+        return None, 0.0
+    block = rho.sector_block(m0)
     p = float(np.real(np.trace(block)))
     if p < 1e-12:
         return None, 0.0
-    out = np.zeros_like(rho.matrix)
-    out[np.ix_(mask, mask)] = block / p
-    return DensityOperator(rho.layout, out), p
+    flat = sector_buffer(n)
+    sector_views(flat, n)[m0][...] = block / p
+    return DensityOperator.from_sectors(rho.layout, flat), p
 
 
 # --- stabilization internals -------------------------------------------------

@@ -13,14 +13,29 @@ Conventions used throughout the package:
   span{|0>, |1>} and annihilate ``|2>``, except gate unitaries, which keep
   it; identity factors keep ``|2>`` untouched.
 * :func:`embed_operator` is the one embedder of a local operator into the
-  register and :func:`apply_local_superop` the one local apply path: it works
-  tile by tile through a transposed view of the state, never permuting it,
-  and may write into its input.  :func:`hermitize` is ``(m + m^dag) / 2`` in
-  place, also by tiles.
+  register and :func:`apply_local_superop` the one local apply path of a
+  dense state: it works tile by tile through a transposed view of the
+  state, never permuting it, and may write into its input.
+  :func:`hermitize` is ``(m + m^dag) / 2`` in place, also by tiles.
 * This module owns the superoperator convention, row-major ``A rho B <-> A (x) B^T``;
   only :func:`kraus_superop` folds a Kraus set, ``sum K (x) conj(K)``.
-* :class:`DensityOperator` validates block by block, on the excitation
-  sectors where the matrix allows it; its docstring states the paths.
+* A :class:`DensityOperator` is stored in one of two forms: dense, its
+  ``d x d`` matrix, or blocked, one flat buffer of its excitation-sector
+  blocks (``C(2N, N)`` entries on N qubits, :func:`sector_views`).  Only a
+  producer that knows its state has no entry outside the sectors makes the
+  blocked form: ``PureState.density`` of a one-sector vector, the sweeps of
+  a blocked state and post-selection.  Every check is made on both forms
+  with the same tolerances and messages; the class docstring states how.
+* :func:`apply_sector_superop` is the local apply of the blocked form.  Every
+  map of the package conserves total ``S_z``, so its superoperator only
+  couples local entries ``|p><q|`` and ``|s><t|`` of equal charge
+  ``n(p) - n(q) = n(s) - n(t)``.  With the rest of the register fixed at
+  ``|R><C|``, the entry ``|p R><q C|`` lies in a sector block exactly when
+  ``n(C) - n(R)`` equals that charge, so the entries of one charge and one
+  ``(R, C)`` are all stored or all zero, and the apply is exact on the
+  stored ones: per charge, one gather of them, one product with the
+  superoperator's charge block (sizes 1, 4, 6, 4, 1 on a pair) and one
+  scatter, over a plan of flat positions cached per ``(N, sites)``.
 """
 
 from __future__ import annotations
@@ -162,6 +177,39 @@ def _sector_indices(n: int) -> tuple[np.ndarray, ...]:
     return sectors
 
 
+@lru_cache(maxsize=None)
+def _sector_offsets(n: int) -> tuple[int, ...]:
+    """Start of each sector block in a flat sector buffer of n qubits, then its
+    length ``C(2n, n)``."""
+    return tuple(np.cumsum([0] + [len(idx) ** 2 for idx in _sector_indices(n)]).tolist())
+
+
+@lru_cache(maxsize=None)
+def _sector_positions(n: int) -> np.ndarray:
+    """Read-only rank of every basis index of n qubits within its sector."""
+    pos = np.empty(2**n, dtype=np.intp)
+    for idx in _sector_indices(n):
+        pos[idx] = np.arange(len(idx))
+    pos.flags.writeable = False
+    return pos
+
+
+def sector_buffer(n: int) -> np.ndarray:
+    """A zero flat sector buffer of n qubits: ``C(2n, n)`` complex entries."""
+    return np.zeros(_sector_offsets(n)[-1], dtype=complex)
+
+
+def sector_views(flat: np.ndarray, n: int) -> list[np.ndarray]:
+    """The square excitation-sector blocks ``k = 0..n`` of a flat sector buffer
+    of n qubits, as views: block ``k`` is ``rho[np.ix_(idx_k, idx_k)]`` for the
+    basis indices ``idx_k`` of sector k in ascending order."""
+    off = _sector_offsets(n)
+    return [
+        flat[a:b].reshape(len(idx), len(idx))
+        for a, b, idx in zip(off, off[1:], _sector_indices(n))
+    ]
+
+
 def system_with_ancilla(n_system: int, ancilla_dim: int = 3) -> RegisterLayout:
     """Ancilla ion at index 0 followed by ``n_system`` qubit spins."""
     return RegisterLayout((ancilla_dim,) + (2,) * n_system, ancilla_index=0)
@@ -186,65 +234,149 @@ class PureState:
             raise RegisterError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
 
     def density(self) -> "DensityOperator":
-        return DensityOperator(self.layout, np.outer(self.vector, self.vector.conj()))
+        """``|v><v|``, blocked when the register is all qubits and ``v`` lies in
+        one excitation sector (basis and Dicke states), dense otherwise."""
+        vec, n = self.vector, self.layout.n_ions
+        if self.layout.ion_dims == (2,) * n:
+            k = np.unique(excitation_numbers(n)[np.flatnonzero(vec)])
+            if len(k) == 1:
+                flat = sector_buffer(n)
+                part = vec[_sector_indices(n)[k[0]]]
+                sector_views(flat, n)[k[0]][...] = np.outer(part, part.conj())
+                return DensityOperator.from_sectors(self.layout, flat)
+        return DensityOperator(self.layout, np.outer(vec, vec.conj()))
 
 
-@dataclass(frozen=True)
 class DensityOperator:
-    """Positive, unit-trace operator on a register.
+    """Positive, unit-trace operator on a register, in one of two forms.
+
+    * Dense: ``DensityOperator(layout, matrix)`` holds the ``d x d`` matrix.
+    * Blocked: :meth:`from_sectors` holds ``sectors``, one flat buffer of the
+      excitation-sector blocks of an all-qubit register (:func:`sector_views`),
+      for a state that has no entry outside them.  Only a producer that knows
+      this makes the form; nothing converts silently.  ``matrix`` is then
+      built from the blocks on demand and is not cached.
 
     Construction validates Hermiticity (1e-10), unit trace (1e-10) and
     positivity (smallest eigenvalue of the Hermitian part ``H`` >= -1e-8);
-    each check fails on NaN.
+    each check fails on NaN, and each error names its value and tolerance.
 
-    When ``mat`` itself passes the exact count test over the excitation
-    sectors of an all-qubit register (no entry outside them), the
-    Hermiticity residual and ``H`` are computed per sector; they equal the
-    dense values exactly, since every off-sector entry is zero.  Otherwise
-    both are computed densely, as is the trace on every path.
+    On the blocked form the Hermiticity residual is the largest over the
+    blocks, the trace is the sum of the block traces and ``H`` is taken per
+    block.  On the dense form, when ``matrix`` itself passes the exact count
+    test over the excitation sectors of an all-qubit register (no entry
+    outside them), the residual and ``H`` are computed per sector; they equal
+    the dense values exactly, since every off-sector entry is zero.  Otherwise
+    both are computed densely, the residual one mirrored pair of tiles at a
+    time; the trace is ``np.trace(matrix)``.
 
-    Positivity is judged on a list of Hermitian blocks whose spectra together
-    are the spectrum of ``H``.  On an all-qubit register the blocks are the
-    excitation sectors, used only when the exact count test
-    ``count_nonzero(H) == sum(count_nonzero(block))`` holds, i.e. ``H`` has
-    no entry outside them; otherwise (qutrit ions, cross-sector coherence)
-    the one block is ``H`` itself.  A block passes when ``block + s 1`` with
-    ``s = 1e-8 - 1e-10`` has a Cholesky factor, which proves its smallest
-    eigenvalue is above -1e-8: the factorization's backward error is far
-    below the 1e-10 margin.  If any block fails, ``eigvalsh`` of every block
-    decides and the error names the smallest eigenvalue over all blocks.
-    No tolerance depends on the path taken.
+    Positivity is judged on Hermitian blocks whose spectra together are the
+    spectrum of ``H``: the sectors, or on the dense form with an entry of
+    ``H`` outside them (qutrit ions, cross-sector coherence) ``H`` itself.
+    A block passes when ``block + s 1`` with ``s = 1e-8 - 1e-10`` has a
+    Cholesky factor, which proves its smallest eigenvalue is above -1e-8:
+    the factorization's backward error is far below the 1e-10 margin.  The
+    test overwrites each block, so if any fails the blocks are built again
+    and ``eigvalsh`` of every block decides; the error names the smallest
+    eigenvalue over all blocks.  No tolerance depends on the form or path.
     """
 
-    layout: RegisterLayout
-    matrix: np.ndarray
+    __slots__ = ("layout", "_matrix", "sectors")
+
+    def __init__(self, layout: RegisterLayout, matrix: np.ndarray) -> None:
+        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "_matrix", matrix)
+        object.__setattr__(self, "sectors", None)
+        self.__post_init__()
+
+    @classmethod
+    def from_sectors(cls, layout: RegisterLayout, sectors: np.ndarray) -> "DensityOperator":
+        """Blocked state from a flat sector buffer, which it takes over read-only."""
+        rho = cls.__new__(cls)
+        object.__setattr__(rho, "layout", layout)
+        object.__setattr__(rho, "_matrix", None)
+        object.__setattr__(rho, "sectors", np.asarray(sectors, dtype=complex))
+        rho.__post_init__()
+        rho.sectors.flags.writeable = False
+        return rho
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"DensityOperator is immutable; cannot set {name!r}")
 
     def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", mat)
-        d = self.layout.dim
-        if mat.shape != (d, d):
-            raise RegisterError(f"matrix shape {mat.shape} does not match dim {d}")
-        blocks = _sector_blocks(self.layout, mat)
-        if blocks is None:
-            herm = np.max(np.abs(mat - mat.conj().T)) if d else 0.0
-        else:
+        """Validate either form; both constructors call it, under the name
+        that tracing wraps."""
+        layout, n, d = self.layout, self.layout.n_ions, self.layout.dim
+        if self.sectors is not None:
+            flat = self.sectors
+            if layout.ion_dims != (2,) * n or flat.shape != (_sector_offsets(n)[-1],):
+                raise RegisterError(
+                    f"sector buffer of shape {flat.shape} does not fit ion dims {layout.ion_dims}"
+                )
+            blocks = sector_views(flat, n)
             herm = np.max([np.max(np.abs(b - b.conj().T)) for b in blocks])
+            tr = sum(np.trace(b) for b in blocks)
+
+            def hermitian():
+                return (hermitize(b.copy()) for b in blocks)
+
+        else:
+            mat = np.asarray(self._matrix, dtype=complex)
+            object.__setattr__(self, "_matrix", mat)
+            if mat.shape != (d, d):
+                raise RegisterError(f"matrix shape {mat.shape} does not match dim {d}")
+            blocks = _sector_blocks(layout, mat)
+            tr = np.trace(mat)
+            if blocks is None:
+                herm = _hermiticity_residual(mat)
+
+                def hermitian():
+                    return _hermitian_blocks(layout, hermitize(mat.copy()))
+
+            else:
+                herm = np.max([np.max(np.abs(b - b.conj().T)) for b in blocks])
+                del blocks
+
+                def hermitian():
+                    return (hermitize(mat[np.ix_(idx, idx)]) for idx in _sector_indices(n))
+
         if not herm <= HERMITICITY_TOL:
-            raise RegisterError(f"matrix deviates from Hermitian by {herm}")
-        tr = np.trace(mat)
+            raise RegisterError(
+                f"matrix deviates from Hermitian by {herm} (tolerance {HERMITICITY_TOL})"
+            )
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise RegisterError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
-        if blocks is None:
-            # one d x d copy, made once the residual's temporaries are freed
-            blocks = _hermitian_blocks(self.layout, hermitize(mat.copy()))
-        else:
-            blocks = [hermitize(b) for b in blocks]  # fresh copies of the sectors
-        if all(_clears_floor(block) for block in blocks):
+        if all(_clears_floor(block) for block in hermitian()):
             return
-        lo = float(np.min(np.concatenate([np.linalg.eigvalsh(b) for b in blocks])))
+        lo = float(np.min(np.concatenate([np.linalg.eigvalsh(b) for b in hermitian()])))
         if not lo >= POSITIVITY_FLOOR:
             raise RegisterError(f"smallest eigenvalue {lo} below {POSITIVITY_FLOOR}")
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The ``d x d`` matrix; on the blocked form a fresh array each time."""
+        if self.sectors is None:
+            return self._matrix
+        n = self.layout.n_ions
+        mat = np.zeros((self.layout.dim,) * 2, dtype=complex)
+        for idx, block in zip(_sector_indices(n), sector_views(self.sectors, n)):
+            mat[np.ix_(idx, idx)] = block
+        return mat
+
+    def sector_block(self, k: int) -> np.ndarray:
+        """Diagonal block of excitation sector ``k`` of an all-qubit register: a
+        read-only view on the blocked form, a copy on the dense one."""
+        n = self.layout.n_ions
+        if self.layout.ion_dims != (2,) * n:
+            raise RegisterError(
+                f"excitation sectors need an all-qubit register, got {self.layout.ion_dims}"
+            )
+        if not 0 <= k <= n:
+            raise RegisterError(f"no excitation sector {k} on {n} qubits")
+        if self.sectors is not None:
+            return sector_views(self.sectors, n)[k]
+        idx = _sector_indices(n)[k]
+        return self._matrix[np.ix_(idx, idx)]
 
     def tensor(self) -> np.ndarray:
         """Matrix reshaped to one ket and one bra axis per ion."""
@@ -262,8 +394,11 @@ def _sector_blocks(layout: RegisterLayout, m: np.ndarray) -> list[np.ndarray] | 
     shows every nonzero (or NaN) entry inside them, otherwise ``None``."""
     if set(layout.ion_dims) != {2}:
         return None
+    nonzero = np.count_nonzero(m)
+    if nonzero > _sector_offsets(layout.n_ions)[-1]:  # more than the sectors hold
+        return None
     blocks = [m[np.ix_(idx, idx)] for idx in _sector_indices(layout.n_ions)]
-    if sum(np.count_nonzero(b) for b in blocks) == np.count_nonzero(m):
+    if sum(np.count_nonzero(b) for b in blocks) == nonzero:
         return blocks
     return None
 
@@ -275,12 +410,12 @@ def _hermitian_blocks(layout: RegisterLayout, h: np.ndarray) -> list[np.ndarray]
 
 
 def _clears_floor(block: np.ndarray) -> bool:
-    """True when ``block + _CHOLESKY_SHIFT * 1`` has a Cholesky factor."""
-    shifted = block.copy()
-    shifted[np.diag_indices_from(shifted)] += _CHOLESKY_SHIFT
+    """True when ``block + _CHOLESKY_SHIFT * 1`` has a Cholesky factor; the
+    C-ordered ``block`` is shifted and factored in place, so it is lost."""
+    block[np.diag_indices_from(block)] += _CHOLESKY_SHIFT
     # The transpose of the C-ordered buffer is Fortran-ordered, so LAPACK
-    # factors it in place; it is conj(shifted), which has the same spectrum.
-    return zpotrf(shifted.T, overwrite_a=True, clean=False)[1] == 0
+    # factors it in place; it is conj(block), which has the same spectrum.
+    return zpotrf(block.T, overwrite_a=True, clean=False)[1] == 0
 
 
 @dataclass(frozen=True)
@@ -452,17 +587,94 @@ def apply_local_superop(
     return out
 
 
-def hermitize(mat: np.ndarray) -> np.ndarray:
-    """Overwrite the square ``mat`` with ``0.5 * (mat + mat.conj().T)``, bytewise,
-    one mirrored pair of tiles at a time, both computed from the old values."""
+@lru_cache(maxsize=None)
+def _charge_moving(n_sites: int) -> np.ndarray:
+    """Read-only mask of the row-major superoperator entries ``[(s, t), (p, q)]``
+    on ``n_sites`` qubits that change the local charge: ``n(s) - n(t) != n(p) - n(q)``."""
+    counts = excitation_numbers(n_sites)
+    charge = (counts[:, None] - counts[None, :]).reshape(-1)
+    moving = charge[:, None] != charge[None, :]
+    moving.flags.writeable = False
+    return moving
+
+
+@lru_cache(maxsize=None)
+def _sector_plan(n: int, sites: tuple[int, ...]) -> tuple[tuple[list[int], np.ndarray], ...]:
+    """Gather plan of :func:`apply_sector_superop` on qubit ``sites`` of n: for
+    each local charge ``c`` that the buffer holds, the superoperator indices
+    ``(p, q)`` with ``n(p) - n(q) = c`` and an ``intp`` array of flat-buffer
+    positions, one row per ``(p, q)`` and one column per pair of rest states
+    ``(R, C)`` with ``n(C) - n(R) = c``: the entry ``|p R><q C|``.  Rows are
+    built from per-sector position vectors of each site state."""
+    check_sites(sites, n)
+    n_loc, rest = len(sites), [i for i in range(n) if i not in sites]
+    weight = 1 << np.arange(n - 1, -1, -1)
+    index = (basis_bits(n_loc) @ weight[list(sites)])[:, None] + basis_bits(n - n_loc) @ weight[rest]
+    local, rest_counts = excitation_numbers(n_loc), excitation_numbers(n - n_loc)
+    pos, off, sectors = _sector_positions(n), _sector_offsets(n), _sector_indices(n)
+    # ranks[p][m]: positions, in sector m + n(p), of site state p with each rest state of m
+    ranks = [[pos[index[p, rest_counts == m]] for m in range(n - n_loc + 1)] for p in range(2**n_loc)]
+    plan = []
+    for c in range(-n_loc, n_loc + 1):
+        pairs = [(p, q) for p in range(2**n_loc) for q in range(2**n_loc) if local[p] - local[q] == c]
+        kets = [m for m in range(n - n_loc + 1) if 0 <= m + c <= n - n_loc]
+        if not kets:
+            continue
+        idx = np.array([
+            np.concatenate([
+                (off[m + local[p]] + len(sectors[m + local[p]]) * ranks[p][m][:, None]
+                 + ranks[q][m + c]).ravel()
+                for m in kets
+            ])
+            for p, q in pairs
+        ], dtype=np.intp)
+        plan.append(([p * 2**n_loc + q for p, q in pairs], idx))
+    return tuple(plan)
+
+
+def apply_sector_superop(
+    flat: np.ndarray, superop: np.ndarray, sites: Sequence[int], n: int
+) -> np.ndarray:
+    """Apply a row-major superoperator supported on qubit ``sites`` to the flat
+    sector buffer of an n-qubit state, in place, one local charge ``c`` at a
+    time: ``flat[idx_c] = S_c @ flat[idx_c]`` over the :func:`_sector_plan`
+    gather.  Raises :class:`RegisterError` if an entry of ``superop`` moves
+    charge, since the buffer holds no entry for it to move to or from."""
+    sites = tuple(sites)
+    plan = _sector_plan(n, sites)
+    if superop.shape != (4 ** len(sites),) * 2:
+        raise RegisterError(f"superoperator shape {superop.shape} does not fit sites {sites}")
+    if np.any(superop[_charge_moving(len(sites))]):
+        raise RegisterError(f"superoperator on sites {sites} moves excitation charge")
+    for rows, idx in plan:
+        flat[idx] = superop[np.ix_(rows, rows)] @ flat[idx]
+    return flat
+
+
+def _mirrored_tiles(mat: np.ndarray):
+    """Pairs of tiles ``(mat[I, J], mat[J, I])`` of the square ``mat`` over the
+    tile rows ``I`` and columns ``J >= I``, as views."""
     edge = int(_TILE_ENTRIES**0.5)
     for i in range(0, len(mat), edge):
         for j in range(i, len(mat), edge):
-            upper, lower = mat[i : i + edge, j : j + edge], mat[j : j + edge, i : i + edge]
-            new_upper = 0.5 * (upper + lower.conj().T)
-            lower[...] = 0.5 * (lower + upper.conj().T)
-            upper[...] = new_upper
+            yield mat[i : i + edge, j : j + edge], mat[j : j + edge, i : i + edge]
+
+
+def hermitize(mat: np.ndarray) -> np.ndarray:
+    """Overwrite the square ``mat`` with ``0.5 * (mat + mat.conj().T)``, bytewise,
+    one mirrored pair of tiles at a time, both computed from the old values."""
+    for upper, lower in _mirrored_tiles(mat):
+        new_upper = 0.5 * (upper + lower.conj().T)
+        lower[...] = 0.5 * (lower + upper.conj().T)
+        upper[...] = new_upper
     return mat
+
+
+def _hermiticity_residual(mat: np.ndarray) -> float:
+    """``max |mat - mat^dag|`` of the square ``mat``, one mirrored pair of tiles
+    at a time (``|L - U^dag|`` mirrors ``|U - L^dag|``); NaN if any entry is."""
+    tiles = [np.max(np.abs(u - l.conj().T)) for u, l in _mirrored_tiles(mat)]
+    return np.max(tiles) if tiles else 0.0
 
 
 def partial_trace(rho: DensityOperator, ions: Iterable[int]) -> DensityOperator:

@@ -443,3 +443,45 @@ class TestSweepMemory:
             tracemalloc.stop()
         assert out.matrix.shape == rho.matrix.shape
         assert peak / (16 * 4**n) <= 1.5
+
+
+class TestBlockedSweeps:
+    """A blocked state is swept on its sector blocks, stays blocked and agrees
+    with the dense sweep of the same state."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_dissipative_sweep(self, blocked_and_dense, n, periodic):
+        rng = np.random.default_rng(40 + n)
+        blocked, dense = blocked_and_dense(rng, n)
+        for theta in (0.5, pi / 2):
+            for epsilon in (0.0, 0.02):
+                out = composite_dissipative_sweep(blocked, theta, epsilon, periodic)
+                ref = composite_dissipative_sweep(dense, theta, epsilon, periodic)
+                assert out.sectors is not None and ref.sectors is None
+                assert np.max(np.abs(out.matrix - ref.matrix)) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_hamiltonian_map(self, blocked_and_dense, n, periodic):
+        rng = np.random.default_rng(50 + n)
+        blocked, dense = blocked_and_dense(rng, n)
+        for epsilon in (0.0, 0.004):
+            out = apply_hamiltonian_map(blocked, 0.25 * pi, epsilon, periodic)
+            ref = apply_hamiltonian_map(dense, 0.25 * pi, epsilon, periodic)
+            assert out.sectors is not None
+            assert np.max(np.abs(out.matrix - ref.matrix)) <= 1e-12
+
+    def test_sweep_leaves_the_blocked_input_untouched(self, blocked_and_dense):
+        blocked, _ = blocked_and_dense(np.random.default_rng(60), 5)
+        before = blocked.sectors.tobytes()
+        out = composite_map(blocked, 0.7, 0.3, 0.02, 0.004)
+        assert out.sectors is not blocked.sectors
+        assert blocked.sectors.tobytes() == before
+
+    def test_single_pair_map_of_a_blocked_state_is_dense(self, blocked_and_dense):
+        blocked, dense = blocked_and_dense(np.random.default_rng(61), 4)
+        out = apply_dissipative_map(blocked, DissipativeMapSpec(2, 0.5, 0.02))
+        ref = apply_dissipative_map(dense, DissipativeMapSpec(2, 0.5, 0.02))
+        assert out.sectors is None
+        assert out.matrix.tobytes() == ref.matrix.tobytes()

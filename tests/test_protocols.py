@@ -452,3 +452,31 @@ class TestInputsAreNotWritten:
                 before = rho.matrix.tobytes()
                 half(rho, m0, *args)
                 assert rho.matrix.tobytes() == before
+
+
+class TestBlockedPostselect:
+    """QND post-selection returns one sector, so its output is blocked from
+    either input form; both forms agree with the dense projection."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_both_forms_agree_with_the_dense_projection(self, blocked_and_dense, n):
+        rng = np.random.default_rng(90 + n)
+        blocked, dense = blocked_and_dense(rng, n)
+        for m0 in range(n + 1):
+            p = build_projector(m0, n).diagonal
+            projected = p[:, None] * dense.matrix * p[None, :]
+            weight = np.trace(projected).real
+            for rho in (blocked, dense):
+                out, prob = postselect(rho, m0)
+                assert out.sectors is not None
+                assert abs(prob - weight) <= 1e-12
+                assert np.max(np.abs(out.matrix - projected / weight)) <= 1e-12
+
+    def test_equal_superposition_gives_a_blocked_dicke_state(self):
+        out, prob = postselect(DensityOperator(qubit_register(3), equal_superposition(3)), 1)
+        assert out.sectors is not None
+        assert np.max(np.abs(out.matrix - dicke_state(1, 3).density().matrix)) <= 1e-15
+
+    def test_out_of_range_sector_has_no_support(self, blocked_and_dense):
+        blocked, _ = blocked_and_dense(np.random.default_rng(99), 3)
+        assert postselect(blocked, 4) == (None, 0.0)

@@ -510,13 +510,14 @@ import spinmaps.register as register_module  # noqa: E402
 
 
 def dense_path_validate(layout, mat, herm_tol=1e-10, clears=None):
-    """The fully dense validation of the previous release, kept here verbatim
-    as the reference: returns ``(message or None, positivity blocks)``."""
+    """The fully dense validation of an earlier release, kept here as the
+    reference (its Hermiticity message now names the tolerance, as the trace
+    and positivity messages do): returns ``(message or None, positivity blocks)``."""
     mat = np.asarray(mat, dtype=complex)
     d = layout.dim
     herm = np.max(np.abs(mat - mat.conj().T)) if d else 0.0
     if not herm <= herm_tol:
-        return f"matrix deviates from Hermitian by {herm}", None
+        return f"matrix deviates from Hermitian by {herm} (tolerance {herm_tol})", None
     tr = np.trace(mat)
     if not abs(tr - 1.0) <= 1e-10:
         return f"trace {tr} deviates from 1 beyond {1e-10}", None
@@ -745,3 +746,177 @@ class TestHermitize:
             expected = (0.5 * (mat + mat.conj().T)).tobytes()
             assert hermitize(mat) is mat
             assert mat.tobytes() == expected
+
+
+import tracemalloc  # noqa: E402
+from math import comb  # noqa: E402
+
+from spinmaps.maps import elementary_hamiltonian_map  # noqa: E402
+from spinmaps.register import apply_sector_superop, sector_buffer, sector_views  # noqa: E402
+
+
+def dense_of(flat, n):
+    """The d x d matrix whose sector blocks are those of ``flat``, by index lookup."""
+    mat = np.zeros((2**n, 2**n), dtype=complex)
+    for idx, block in zip(_sector_indices(n), sector_views(flat, n)):
+        mat[np.ix_(idx, idx)] = block
+    return mat
+
+
+def _pair_superops():
+    return {
+        "D": elementary_dissipative_map(DissipativeMapSpec(1, 0.5 * np.pi, 0.02)).superop,
+        "D-weak": elementary_dissipative_map(DissipativeMapSpec(1, 0.5, 0.0)).superop,
+        "U": elementary_hamiltonian_map(0.25 * np.pi, 0.004).superop,
+    }
+
+
+def _blocked_sites(n):
+    shapes = [(0, 1), (n - 1, 0), (n // 2,)]  # open, periodic wrap, one site
+    if n >= 3:
+        shapes += [(2, 0), (0, 2, 1)]  # non-adjacent, three sites
+    return shapes
+
+
+class TestBlockedForm:
+    """A sector-diagonal state stored as its sector blocks: who makes it, what
+    ``.matrix`` returns, and the kernel against the tiled dense apply."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_density_of_basis_and_dicke_vectors_is_blocked(self, n):
+        for vec in (basis_state(qubit_register(n), [1] + [0] * (n - 1)).vector,
+                    dicke_state(n // 2, n).vector):
+            rho = PureState(qubit_register(n), vec).density()
+            assert rho.sectors is not None
+            assert rho.matrix.tobytes() == np.outer(vec, vec.conj()).tobytes()
+            assert rho.matrix is not rho.matrix  # built on demand, not cached
+
+    def test_equal_superposition_and_qutrit_states_stay_dense(self):
+        equal = PureState(qubit_register(4), np.full(16, 0.25)).density()
+        assert equal.sectors is None
+        assert equal.matrix.tobytes() == np.full((16, 16), 1 / 16, dtype=complex).tobytes()
+        parked = basis_state(system_with_ancilla(2), [2, 1, 0]).density()
+        assert parked.sectors is None
+        with pytest.raises(RegisterError, match="all-qubit register"):
+            parked.sector_block(0)
+
+    def test_matrix_and_blocks_equal_the_dense_reference(self, blocked_and_dense):
+        rng = np.random.default_rng(30)
+        for n in range(1, 9):
+            blocked, dense = blocked_and_dense(rng, n)
+            assert blocked.matrix.tobytes() == dense_of(blocked.sectors, n).tobytes()
+            for k in range(n + 1):
+                assert blocked.sector_block(k).tobytes() == dense.sector_block(k).tobytes()
+            with pytest.raises(RegisterError, match="no excitation sector"):
+                blocked.sector_block(n + 1)
+
+    def test_state_is_immutable_and_its_buffer_read_only(self, blocked_and_dense):
+        blocked, _ = blocked_and_dense(np.random.default_rng(31), 3)
+        with pytest.raises(ValueError):
+            blocked.sectors[0] = 1.0
+        with pytest.raises(AttributeError):
+            blocked.layout = qubit_register(3)
+
+    @pytest.mark.parametrize("layout,size", [(qubit_register(3), 19), (system_with_ancilla(2), 6)])
+    def test_buffer_that_does_not_fit_is_rejected(self, layout, size):
+        flat = np.zeros(size, dtype=complex)
+        flat[0] = 1.0
+        with pytest.raises(RegisterError, match="sector buffer of shape"):
+            DensityOperator.from_sectors(layout, flat)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("name", ["D", "D-weak", "U"])
+    def test_kernel_equals_the_tiled_apply(self, n, name):
+        rng = np.random.default_rng(32 + n)
+        superop = _pair_superops()[name]
+        for sites in _blocked_sites(n):
+            k = len(sites)
+            local = superop if k == 2 else rng.standard_normal((4**k, 4**k)) + 0j
+            if k != 2:  # a random charge-conserving superoperator
+                local[register_module._charge_moving(k)] = 0
+            flat = rng.standard_normal(comb(2 * n, n)) + 1j * rng.standard_normal(comb(2 * n, n))
+            expected = apply_local_superop(dense_of(flat, n), local, sites, (2,) * n)
+            out = apply_sector_superop(flat, local, sites, n)
+            assert out is flat
+            assert np.max(np.abs(dense_of(flat, n) - expected)) <= 1e-12
+            # the tiled apply leaves the cross-sector entries it was given at zero
+            assert np.count_nonzero(expected) == np.count_nonzero(dense_of(flat, n))
+
+    def test_kernel_rejects_a_charge_moving_superoperator(self, blocked_and_dense):
+        c, s = np.cos(0.3), np.sin(0.3)
+        x_rotation = np.array([[c, -1j * s], [-1j * s, c]])
+        flat = blocked_and_dense(np.random.default_rng(33), 3)[0].sectors.copy()
+        before = flat.copy()
+        with pytest.raises(RegisterError, match="moves excitation charge"):
+            apply_sector_superop(flat, kraus_superop([x_rotation]), (1,), 3)
+        with pytest.raises(RegisterError, match="superoperator shape"):
+            apply_sector_superop(flat, np.eye(4), (0, 1), 3)
+        with pytest.raises(RegisterError, match="distinct ions"):
+            apply_sector_superop(flat, np.eye(16), (0, 3), 3)
+        assert flat.tobytes() == before.tobytes()
+
+
+def _invariant_states():
+    """Sector-diagonal matrices of 3 qubits that break one invariant each, with
+    entries that are exact binary fractions, so every sum is exact in any order."""
+    base = np.diag([1, 1, 1, 2, 1, 1, 0.5, 0.5]).astype(complex) / 8
+    non_hermitian = base.copy()
+    non_hermitian[1, 2] = 2.0**-20  # sector 1: indices 1, 2, 4
+    wrong_trace = base * 1.25
+    negative = base.copy()
+    negative[3, 3], negative[5, 5] = 0.375 + 2.0**-10, -2.0**-10  # sector 2: 3, 5, 6
+    return {
+        "hermiticity": (non_hermitian, r"matrix deviates from Hermitian by 9\.5367431640625e-07 \(tolerance 1e-10\)"),
+        "trace": (wrong_trace, r"trace \(1\.25\+0j\) deviates from 1 beyond 1e-10"),
+        "positivity": (negative, r"smallest eigenvalue -0\.0009765625 below -1e-08"),
+    }
+
+
+class TestOneMessagePerInvariant:
+    """The same broken state, built dense and built blocked, raises the same
+    message: the invariant, its value and its tolerance."""
+
+    @pytest.mark.parametrize("invariant", ["hermiticity", "trace", "positivity"])
+    def test_dense_and_blocked_name_the_same_value_and_tolerance(self, invariant):
+        mat, message = _invariant_states()[invariant]
+        flat = sector_buffer(3)
+        for idx, block in zip(_sector_indices(3), sector_views(flat, 3)):
+            block[...] = mat[np.ix_(idx, idx)]
+        with pytest.raises(RegisterError) as dense:
+            DensityOperator(qubit_register(3), mat)
+        with pytest.raises(RegisterError) as blocked:
+            DensityOperator.from_sectors(qubit_register(3), flat)
+        assert re.fullmatch(message, str(dense.value)), str(dense.value)
+        assert str(blocked.value) == str(dense.value)
+
+
+class TestDenseValidationMemory:
+    """The dense path holds one Hermitian copy: the residual is tiled and the
+    Cholesky test factors that copy in place."""
+
+    def test_equal_superposition_peaks_one_state_above_its_input(self):
+        n = 9
+        mat = np.full((2**n, 2**n), 1.0 / 2**n, dtype=complex)
+        DensityOperator(qubit_register(n), mat)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            DensityOperator(qubit_register(n), mat)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak / (16 * 4**n) <= 1.2
+
+    def test_failing_block_is_rebuilt_for_eigvalsh(self):
+        rng = np.random.default_rng(34)
+        for layout in (qubit_register(4), system_with_ancilla(2)):
+            mat = dense_state(rng, layout.dim, -1e-8 - 1e-9)
+            lo = rejected_lo(layout, mat)
+            assert abs(lo - reference_min_eigenvalue(mat)) <= 1e-12
+
+    def test_tiled_residual_fails_on_nan_in_any_tile(self):
+        layout = qubit_register(9)  # 8 x 8 tiles of 64 x 64
+        mat = np.full((512, 512), 1.0 / 512, dtype=complex)
+        mat[300, 450] = np.nan
+        with pytest.raises(RegisterError, match="Hermitian by nan"):
+            DensityOperator(layout, mat)
