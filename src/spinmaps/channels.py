@@ -93,7 +93,8 @@ def apply(channel: Channel, rho: DensityOperator) -> DensityOperator:
         raise ChannelError(
             f"channel dim {channel.dim} does not match state dim {rho.layout.dim}"
         )
-    out = sum(k @ rho.matrix @ k.conj().T for k in channel.kraus_ops)
+    mat = rho.matrix
+    out = sum(k @ mat @ k.conj().T for k in channel.kraus_ops)
     return DensityOperator(rho.layout, out)
 
 

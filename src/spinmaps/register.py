@@ -19,13 +19,12 @@ Conventions used throughout the package:
   :func:`hermitize` is ``(m + m^dag) / 2`` in place, also by tiles.
 * This module owns the superoperator convention, row-major ``A rho B <-> A (x) B^T``;
   only :func:`kraus_superop` folds a Kraus set, ``sum K (x) conj(K)``.
-* A :class:`DensityOperator` is stored in one of two forms: dense, its
-  ``d x d`` matrix, or blocked, one flat buffer of its excitation-sector
-  blocks (``C(2N, N)`` entries on N qubits, :func:`sector_views`).  Only a
-  producer that knows its state has no entry outside the sectors makes the
-  blocked form: ``PureState.density`` of a one-sector vector, the sweeps of
-  a blocked state and post-selection.  Every check is made on both forms
-  with the same tolerances and messages; the class docstring states how.
+* A :class:`DensityOperator` is stored in one of two forms, by one rule:
+  a state of an all-qubit register with no entry outside its
+  excitation-sector blocks is stored blocked, as one flat buffer of them
+  (``C(2N, N)`` entries on N qubits, :func:`sector_views`); any other state
+  is stored dense, as its ``d x d`` matrix.  The constructor applies the
+  rule, so no producer needs to know it.
 * :func:`apply_sector_superop` is the local apply of the blocked form.  Every
   map of the package conserves total ``S_z``, so its superoperator only
   couples local entries ``|p><q|`` and ``|s><t|`` of equal charge
@@ -250,35 +249,33 @@ class PureState:
 class DensityOperator:
     """Positive, unit-trace operator on a register, in one of two forms.
 
-    * Dense: ``DensityOperator(layout, matrix)`` holds the ``d x d`` matrix.
-    * Blocked: :meth:`from_sectors` holds ``sectors``, one flat buffer of the
-      excitation-sector blocks of an all-qubit register (:func:`sector_views`),
-      for a state that has no entry outside them.  Only a producer that knows
-      this makes the form; nothing converts silently.  ``matrix`` is then
-      built from the blocks on demand and is not cached.
+    * Blocked: ``sectors``, one flat buffer of the excitation-sector blocks
+      of an all-qubit register (:func:`sector_views`), read-only.  Every
+      state of such a register with no entry outside the blocks has this
+      form: ``DensityOperator(layout, matrix)`` stores the blocks when the
+      exact count test ``count_nonzero(matrix) == count_nonzero(blocks)``
+      holds (NaN counts as nonzero) and drops the matrix, and
+      :meth:`from_sectors` takes a buffer directly.  ``matrix`` is then built
+      from the blocks on demand and is not cached.
+    * Dense: the ``d x d`` matrix of a state with an entry outside the
+      sectors or with a qutrit ion.
 
     Construction validates Hermiticity (1e-10), unit trace (1e-10) and
     positivity (smallest eigenvalue of the Hermitian part ``H`` >= -1e-8);
     each check fails on NaN, and each error names its value and tolerance.
+    There are two paths.  Blocked, the Hermiticity residual is the largest
+    over the blocks, the trace is the sum of the block traces and ``H`` is
+    taken per block; they equal the dense values, since every entry outside
+    the blocks is zero.  Dense, the residual is computed one mirrored pair
+    of tiles at a time, the trace is ``np.trace(matrix)`` and ``H`` is one
+    block.
 
-    On the blocked form the Hermiticity residual is the largest over the
-    blocks, the trace is the sum of the block traces and ``H`` is taken per
-    block.  On the dense form, when ``matrix`` itself passes the exact count
-    test over the excitation sectors of an all-qubit register (no entry
-    outside them), the residual and ``H`` are computed per sector; they equal
-    the dense values exactly, since every off-sector entry is zero.  Otherwise
-    both are computed densely, the residual one mirrored pair of tiles at a
-    time; the trace is ``np.trace(matrix)``.
-
-    Positivity is judged on Hermitian blocks whose spectra together are the
-    spectrum of ``H``: the sectors, or on the dense form with an entry of
-    ``H`` outside them (qutrit ions, cross-sector coherence) ``H`` itself.
-    A block passes when ``block + s 1`` with ``s = 1e-8 - 1e-10`` has a
-    Cholesky factor, which proves its smallest eigenvalue is above -1e-8:
-    the factorization's backward error is far below the 1e-10 margin.  The
-    test overwrites each block, so if any fails the blocks are built again
-    and ``eigvalsh`` of every block decides; the error names the smallest
-    eigenvalue over all blocks.  No tolerance depends on the form or path.
+    A Hermitian block passes when ``block + s 1`` with ``s = 1e-8 - 1e-10``
+    has a Cholesky factor, which proves its smallest eigenvalue is above
+    -1e-8: the factorization's backward error is far below the 1e-10
+    margin.  The test overwrites each block, so if any fails the blocks are
+    built again and ``eigvalsh`` of every block decides; the error names the
+    smallest eigenvalue over all blocks.  No tolerance depends on the form.
     """
 
     __slots__ = ("layout", "_matrix", "sectors")
@@ -304,9 +301,19 @@ class DensityOperator:
         raise AttributeError(f"DensityOperator is immutable; cannot set {name!r}")
 
     def __post_init__(self) -> None:
-        """Validate either form; both constructors call it, under the name
-        that tracing wraps."""
+        """Store a matrix in its form, then validate; both constructors call it,
+        under the name that tracing wraps."""
         layout, n, d = self.layout, self.layout.n_ions, self.layout.dim
+        if self.sectors is None:
+            mat = np.asarray(self._matrix, dtype=complex)
+            if mat.shape != (d, d):
+                raise RegisterError(f"matrix shape {mat.shape} does not match dim {d}")
+            flat = _sector_blocks(layout, mat)
+            if flat is not None:
+                flat.flags.writeable = False
+                mat = None
+            object.__setattr__(self, "_matrix", mat)
+            object.__setattr__(self, "sectors", flat)
         if self.sectors is not None:
             flat = self.sectors
             if layout.ion_dims != (2,) * n or flat.shape != (_sector_offsets(n)[-1],):
@@ -321,24 +328,12 @@ class DensityOperator:
                 return (hermitize(b.copy()) for b in blocks)
 
         else:
-            mat = np.asarray(self._matrix, dtype=complex)
-            object.__setattr__(self, "_matrix", mat)
-            if mat.shape != (d, d):
-                raise RegisterError(f"matrix shape {mat.shape} does not match dim {d}")
-            blocks = _sector_blocks(layout, mat)
+            mat = self._matrix
+            herm = _hermiticity_residual(mat)
             tr = np.trace(mat)
-            if blocks is None:
-                herm = _hermiticity_residual(mat)
 
-                def hermitian():
-                    return _hermitian_blocks(layout, hermitize(mat.copy()))
-
-            else:
-                herm = np.max([np.max(np.abs(b - b.conj().T)) for b in blocks])
-                del blocks
-
-                def hermitian():
-                    return (hermitize(mat[np.ix_(idx, idx)]) for idx in _sector_indices(n))
+            def hermitian():
+                return [hermitize(mat.copy())]
 
         if not herm <= HERMITICITY_TOL:
             raise RegisterError(
@@ -373,10 +368,11 @@ class DensityOperator:
             )
         if not 0 <= k <= n:
             raise RegisterError(f"no excitation sector {k} on {n} qubits")
-        if self.sectors is not None:
-            return sector_views(self.sectors, n)[k]
         idx = _sector_indices(n)[k]
-        return self._matrix[np.ix_(idx, idx)]
+        if self.sectors is None:
+            return self._matrix[np.ix_(idx, idx)]
+        off = _sector_offsets(n)
+        return self.sectors[off[k] : off[k + 1]].reshape(len(idx), len(idx))
 
     def tensor(self) -> np.ndarray:
         """Matrix reshaped to one ket and one bra axis per ion."""
@@ -388,25 +384,20 @@ class DensityOperator:
 _CHOLESKY_SHIFT = -POSITIVITY_FLOOR - 1e-10
 
 
-def _sector_blocks(layout: RegisterLayout, m: np.ndarray) -> list[np.ndarray] | None:
-    """Excitation-sector diagonal blocks of ``m`` on an all-qubit register when
-    the exact count test ``count_nonzero(m) == sum(count_nonzero(block))``
-    shows every nonzero (or NaN) entry inside them, otherwise ``None``."""
-    if set(layout.ion_dims) != {2}:
+def _sector_blocks(layout: RegisterLayout, m: np.ndarray) -> np.ndarray | None:
+    """Flat sector buffer of ``m`` on an all-qubit register when the exact
+    count test ``count_nonzero(m) == count_nonzero(buffer)`` shows every
+    nonzero (or NaN) entry inside the excitation sectors, otherwise ``None``."""
+    n = layout.n_ions
+    if layout.ion_dims != (2,) * n:
         return None
     nonzero = np.count_nonzero(m)
-    if nonzero > _sector_offsets(layout.n_ions)[-1]:  # more than the sectors hold
+    if nonzero > _sector_offsets(n)[-1]:  # more than the sectors hold
         return None
-    blocks = [m[np.ix_(idx, idx)] for idx in _sector_indices(layout.n_ions)]
-    if sum(np.count_nonzero(b) for b in blocks) == nonzero:
-        return blocks
-    return None
-
-
-def _hermitian_blocks(layout: RegisterLayout, h: np.ndarray) -> list[np.ndarray]:
-    """Diagonal blocks of the Hermitian ``h`` whose spectra together are its
-    spectrum: its :func:`_sector_blocks` when the count test holds, else ``[h]``."""
-    return _sector_blocks(layout, h) or [h]
+    flat = sector_buffer(n)
+    for idx, block in zip(_sector_indices(n), sector_views(flat, n)):
+        block[...] = m[np.ix_(idx, idx)]
+    return flat if np.count_nonzero(flat) == nonzero else None
 
 
 def _clears_floor(block: np.ndarray) -> bool:
@@ -704,8 +695,7 @@ def partial_trace(rho: DensityOperator, ions: Iterable[int]) -> DensityOperator:
 def expectation(rho: DensityOperator, op: PauliString | np.ndarray) -> complex:
     """Tr(op rho); real to 1e-10 for Hermitian op."""
     mat = embed(op, rho.layout) if isinstance(op, PauliString) else np.asarray(op)
-    if mat.shape != rho.matrix.shape:
-        raise RegisterError(
-            f"operator shape {mat.shape} does not match state {rho.matrix.shape}"
-        )
-    return complex(np.einsum("ij,ji->", mat, rho.matrix))
+    state = rho.matrix
+    if mat.shape != state.shape:
+        raise RegisterError(f"operator shape {mat.shape} does not match state {state.shape}")
+    return complex(np.einsum("ij,ji->", mat, state))

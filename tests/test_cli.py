@@ -701,23 +701,23 @@ from spinmaps.register import _sector_plan  # noqa: E402
 
 
 class TestBlockedRun:
-    """A run from a basis or Dicke state is held in the blocked form through
-    every SWEEP, U and QND token; ``equal`` and ``file:`` starts stay dense."""
+    """A run from a sector-diagonal start (basis, Dicke or such a ``file:``
+    state) is held in the blocked form through every token; an ``equal``
+    start stays dense."""
 
     def test_initial_state_forms(self, tmp_path):
         text = "N = 4\nm0 = 2\ninitial = {}\nschedule {{ SWEEP }}\n"
-        for initial in ("0110", "dicke 2"):
-            assert initial_state(parse_config_text(text.format(initial))).sectors is not None
         dump_state(basis_state(qubit_register(4), [0, 1, 1, 0]).density(), tmp_path / "s.json")
-        for initial in ("equal", f"file:{tmp_path / 's.json'}"):
-            assert initial_state(parse_config_text(text.format(initial))).sectors is None
+        for initial in ("0110", "dicke 2", f"file:{tmp_path / 's.json'}"):
+            assert initial_state(parse_config_text(text.format(initial))).sectors is not None
+        assert initial_state(parse_config_text(text.format("equal"))).sectors is None
 
     def test_tokens_keep_or_drop_the_blocked_form(self):
         config = parse_config_text(
             "N = 4\nm0 = 2\ninitial = 0110\nepsilon_diss = 0.02\n"
             "schedule { SWEEP; U 0.25; QND 2; D 1; QND 2; STAB 2 }\n")
         forms = [rho.sectors is not None for _, rho in run_steps(config)]
-        assert forms == [True, True, True, False, True, False]
+        assert forms == [True] * 6
 
     def test_chain_n10_run_peaks_below_one_and_a_half_dense_states(self, tmp_path):
         # The dense path peaks at 2.3 states, so this fails if the run falls back.

@@ -422,55 +422,85 @@ def _sector_mixed_state(rng, n):
     return DensityOperator(qubit_register(n), mat)
 
 
+_SWEEPS = [
+    lambda rho: composite_dissipative_sweep(rho, 0.7, 0.02),
+    lambda rho: apply_hamiltonian_map(rho, 0.25, 0.004),
+]
+
+
+def _traced_peak(sweep, rho):
+    """Peak traced bytes of one sweep of ``rho``, in dense states of its register."""
+    sweep(rho)  # builds the cached pair channel and tile plans
+    tracemalloc.start()
+    try:
+        out = sweep(rho)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.matrix.shape == rho.matrix.shape
+    return peak / (16 * rho.layout.dim**2)
+
+
 class TestSweepMemory:
     """A sweep holds its input plus one working state: every pair is applied
-    in place and the re-Hermitization is tiled.  The sector state keeps the
-    validation on its blocks, so the peak is the sweep's own."""
+    in place and the re-Hermitization is tiled.  The sector state is blocked,
+    so its working state is a sector buffer and its validation is per block;
+    a state with cross-sector coherence is dense, and its validation adds one
+    Hermitian copy."""
 
-    @pytest.mark.parametrize("sweep", [
-        lambda rho: composite_dissipative_sweep(rho, 0.7, 0.02),
-        lambda rho: apply_hamiltonian_map(rho, 0.25, 0.004),
-    ], ids=["dissipative", "hamiltonian"])
+    @pytest.mark.parametrize("sweep", _SWEEPS, ids=["dissipative", "hamiltonian"])
     def test_traced_peak_above_the_input(self, sweep):
-        n = 9
-        rho = _sector_mixed_state(np.random.default_rng(9), n)
-        sweep(rho)  # builds the cached pair channel and tile plans
-        tracemalloc.start()
-        try:
-            out = sweep(rho)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert out.matrix.shape == rho.matrix.shape
-        assert peak / (16 * 4**n) <= 1.5
+        rho = _sector_mixed_state(np.random.default_rng(9), 9)
+        assert rho.sectors is not None
+        assert _traced_peak(sweep, rho) <= 1.5
+
+    @pytest.mark.parametrize("sweep", _SWEEPS, ids=["dissipative", "hamiltonian"])
+    def test_dense_traced_peak_above_the_input(self, sweep):
+        rng = np.random.default_rng(10)
+        g = rng.standard_normal((2**9, 3)) + 1j * rng.standard_normal((2**9, 3))
+        rho = DensityOperator(qubit_register(9), g @ g.conj().T / np.linalg.norm(g) ** 2)
+        assert rho.sectors is None
+        assert _traced_peak(sweep, rho) <= 2.2
+
+
+from spinmaps.maps import elementary_hamiltonian_map  # noqa: E402
+from spinmaps.register import hermitize  # noqa: E402
+
+
+def dense_sweep(mat, channel, n, periodic):
+    """Reference sweep of a numpy matrix: the tiled dense apply of ``channel``
+    on every sweep pair in order, then the Hermitian part."""
+    for ions in [(i, (i + 1) % n) for i in range(n if periodic else n - 1)]:
+        mat = apply_local_superop(mat, channel.superop, ions, (2,) * n)
+    return hermitize(mat)
 
 
 class TestBlockedSweeps:
     """A blocked state is swept on its sector blocks, stays blocked and agrees
-    with the dense sweep of the same state."""
+    with the tiled dense sweep of its numpy matrix."""
 
     @pytest.mark.parametrize("n", range(2, 9))
     @pytest.mark.parametrize("periodic", [False, True])
     def test_dissipative_sweep(self, blocked_and_dense, n, periodic):
         rng = np.random.default_rng(40 + n)
-        blocked, dense = blocked_and_dense(rng, n)
+        blocked, reference = blocked_and_dense(rng, n)
         for theta in (0.5, pi / 2):
             for epsilon in (0.0, 0.02):
                 out = composite_dissipative_sweep(blocked, theta, epsilon, periodic)
-                ref = composite_dissipative_sweep(dense, theta, epsilon, periodic)
-                assert out.sectors is not None and ref.sectors is None
-                assert np.max(np.abs(out.matrix - ref.matrix)) <= 1e-12
+                channel = elementary_dissipative_map(DissipativeMapSpec(1, theta, epsilon))
+                assert out.sectors is not None
+                assert np.max(np.abs(out.matrix - dense_sweep(reference, channel, n, periodic))) <= 1e-12
 
     @pytest.mark.parametrize("n", range(2, 9))
     @pytest.mark.parametrize("periodic", [False, True])
     def test_hamiltonian_map(self, blocked_and_dense, n, periodic):
         rng = np.random.default_rng(50 + n)
-        blocked, dense = blocked_and_dense(rng, n)
+        blocked, reference = blocked_and_dense(rng, n)
         for epsilon in (0.0, 0.004):
             out = apply_hamiltonian_map(blocked, 0.25 * pi, epsilon, periodic)
-            ref = apply_hamiltonian_map(dense, 0.25 * pi, epsilon, periodic)
+            channel = elementary_hamiltonian_map(0.25 * pi, epsilon)
             assert out.sectors is not None
-            assert np.max(np.abs(out.matrix - ref.matrix)) <= 1e-12
+            assert np.max(np.abs(out.matrix - dense_sweep(reference, channel, n, periodic))) <= 1e-12
 
     def test_sweep_leaves_the_blocked_input_untouched(self, blocked_and_dense):
         blocked, _ = blocked_and_dense(np.random.default_rng(60), 5)
@@ -479,9 +509,10 @@ class TestBlockedSweeps:
         assert out.sectors is not blocked.sectors
         assert blocked.sectors.tobytes() == before
 
-    def test_single_pair_map_of_a_blocked_state_is_dense(self, blocked_and_dense):
-        blocked, dense = blocked_and_dense(np.random.default_rng(61), 4)
-        out = apply_dissipative_map(blocked, DissipativeMapSpec(2, 0.5, 0.02))
-        ref = apply_dissipative_map(dense, DissipativeMapSpec(2, 0.5, 0.02))
-        assert out.sectors is None
-        assert out.matrix.tobytes() == ref.matrix.tobytes()
+    def test_single_pair_map_of_a_blocked_state_is_blocked(self, blocked_and_dense):
+        blocked, reference = blocked_and_dense(np.random.default_rng(61), 4)
+        spec = DissipativeMapSpec(2, 0.5, 0.02)
+        out = apply_dissipative_map(blocked, spec)
+        expected = apply_local_superop(reference, elementary_dissipative_map(spec).superop, (1, 2), (2,) * 4)
+        assert out.sectors is not None
+        assert np.array_equal(out.matrix, expected)

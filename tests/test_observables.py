@@ -253,33 +253,35 @@ class TestPurityAgainstEinsum:
         assert abs(purity(rho) - reference) <= 1e-13
 
 
-from spinmaps.register import excitation_numbers  # noqa: E402
-
-
 class TestBlockedObservables:
-    """Every observable reads the same value from a blocked state and from the
-    dense state with the same blocks, and the dense value matches the
-    full-matrix formula of the previous release."""
+    """Every observable of a blocked state, and of a dense state with
+    cross-sector coherence, matches the numpy formula on its matrix."""
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_both_forms_agree(self, blocked_and_dense, n):
         rng = np.random.default_rng(70 + n)
-        blocked, dense = blocked_and_dense(rng, n)
-        mat = dense.matrix
-        for m in range(n + 1):
-            d = dicke_state(m, n).vector
-            reference = float(np.real(d.conj() @ mat @ d))
-            assert abs(dicke_fidelity(blocked, m, n) - reference) <= 1e-12
-            assert abs(dicke_fidelity(dense, m, n) - reference) <= 1e-12
-            assert abs(offdiag_order(blocked, m) - offdiag_order(dense, m)) <= 1e-12
-        reference = np.bincount(excitation_numbers(n), weights=np.real(np.diag(mat)))
-        for rho in (blocked, dense):
-            assert np.max(np.abs(subspace_populations(rho) - reference)) <= 1e-12
+        blocked, reference = blocked_and_dense(rng, n)
+        coherent = 0.5 * reference + 0.5 / 2**n  # plus the equal superposition
+        dense = DensityOperator(qubit_register(n), coherent)
+        assert dense.sectors is None
+        hop = _dense_hop(n)
+        for rho, mat in ((blocked, reference), (dense, coherent)):
+            for m, mask in enumerate(_sector_masks(n)):
+                d = dicke_state(m, n).vector
+                assert abs(dicke_fidelity(rho, m, n) - float(np.real(d.conj() @ mat @ d))) <= 1e-12
+                block = mat[np.ix_(mask, mask)]
+                order = np.real(np.trace(hop[np.ix_(mask, mask)] @ block)) / np.real(np.trace(block))
+                assert abs(offdiag_order(rho, m) - order) <= 1e-12
+            populations = [np.real(np.diag(mat))[mask].sum() for mask in _sector_masks(n)]
+            assert np.max(np.abs(subspace_populations(rho) - populations)) <= 1e-12
             assert abs(purity(rho) - np.einsum("ij,ji->", mat, mat).real) <= 1e-12
 
     def test_empty_sector_raises_on_both_forms(self):
-        for rho in (basis_state(qubit_register(4), [1, 1, 0, 0]).density(),
-                    DensityOperator(qubit_register(4), np.diag([1.0] + [0.0] * 15))):
+        coherent = np.zeros((16, 16), dtype=complex)
+        coherent[0, 0] = coherent[3, 3] = coherent[0, 3] = coherent[3, 0] = 0.5  # |0000>, |0011>
+        dense = DensityOperator(qubit_register(4), coherent)
+        assert dense.sectors is None
+        for rho in (basis_state(qubit_register(4), [1, 1, 0, 0]).density(), dense):
             with pytest.raises(RegisterError, match="no population in the m=1"):
                 offdiag_order(rho, 1)
             assert dicke_fidelity(rho, 1, 4) == 0.0

@@ -456,17 +456,20 @@ class TestInputsAreNotWritten:
 
 class TestBlockedPostselect:
     """QND post-selection returns one sector, so its output is blocked from
-    either input form; both forms agree with the dense projection."""
+    either input form; both agree with the numpy projection of the matrix."""
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_both_forms_agree_with_the_dense_projection(self, blocked_and_dense, n):
         rng = np.random.default_rng(90 + n)
-        blocked, dense = blocked_and_dense(rng, n)
-        for m0 in range(n + 1):
-            p = build_projector(m0, n).diagonal
-            projected = p[:, None] * dense.matrix * p[None, :]
-            weight = np.trace(projected).real
-            for rho in (blocked, dense):
+        blocked, reference = blocked_and_dense(rng, n)
+        coherent = 0.5 * reference + 0.5 * equal_superposition(n)  # cross-sector entries
+        dense = DensityOperator(qubit_register(n), coherent)
+        assert dense.sectors is None
+        for rho, mat in ((blocked, reference), (dense, coherent)):
+            for m0 in range(n + 1):
+                p = build_projector(m0, n).diagonal
+                projected = p[:, None] * mat * p[None, :]
+                weight = np.trace(projected).real
                 out, prob = postselect(rho, m0)
                 assert out.sectors is not None
                 assert abs(prob - weight) <= 1e-12

@@ -361,7 +361,7 @@ class TestNaNRejected:
 
 import re  # noqa: E402
 
-from spinmaps.register import _hermitian_blocks  # noqa: E402
+import spinmaps.register as register_module  # noqa: E402
 
 
 def reference_min_eigenvalue(mat):
@@ -435,7 +435,7 @@ class TestBlockedPositivity:
             n = 2 + trial % 7
             mat = sector_diagonal_state(rng, n, lows[rng.integers(len(lows))])
             layout = qubit_register(n)
-            assert len(_hermitian_blocks(layout, 0.5 * (mat + mat.conj().T))) == n + 1
+            assert register_module._sector_blocks(layout, mat) is not None
             decision = accepts(layout, mat)
             assert decision == reference_accepts(mat)
             decisions.add(decision)
@@ -448,12 +448,10 @@ class TestBlockedPositivity:
         if register == "qubits":
             layout = qubit_register(6)
             mat = sector_diagonal_state(rng, 6, -1e-8 + offset)
-            n_blocks = 7
         else:
             layout = system_with_ancilla(4)
             mat = dense_state(rng, layout.dim, -1e-8 + offset)
-            n_blocks = 1
-        assert len(_hermitian_blocks(layout, 0.5 * (mat + mat.conj().T))) == n_blocks
+        assert (register_module._sector_blocks(layout, mat) is None) == (register != "qubits")
         assert accepts(layout, mat) == reference_accepts(mat) == (offset > 0)
 
     @pytest.mark.parametrize("lowest", [0.0, -1e-8 + 1e-10, -1e-8 - 1e-10, -1e-3])
@@ -464,7 +462,7 @@ class TestBlockedPositivity:
         i, j = _sector_indices(5)[1][0], _sector_indices(5)[2][0]
         mat[i, j] = 1e-300
         mat[j, i] = 1e-300
-        assert len(_hermitian_blocks(layout, 0.5 * (mat + mat.conj().T))) == 1
+        assert register_module._sector_blocks(layout, mat) is None
         assert accepts(layout, mat) == reference_accepts(mat)
 
     @pytest.mark.parametrize("register", ["qubits", "qutrit-ancilla", "cross-sector"])
@@ -505,8 +503,6 @@ class TestBlockedPositivity:
 
 
 from scipy.linalg.lapack import zpotrf  # noqa: E402
-
-import spinmaps.register as register_module  # noqa: E402
 
 
 def dense_path_validate(layout, mat, herm_tol=1e-10, clears=None):
@@ -554,9 +550,9 @@ def validate(layout, mat):
 
 
 class TestSectorFirstValidation:
-    """When the matrix itself passes the count test, the residual and the
-    Hermitian part are computed per sector; every decision, residual, block
-    and message equals the dense path's."""
+    """When the matrix passes the count test it is stored and validated as its
+    sector blocks; every decision, residual, block and message equals the
+    dense path's.  Otherwise it is validated as one dense block."""
 
     def same_as_dense_path(self, monkeypatch, layout, mat):
         """Assert equal messages, and bitwise equal positivity blocks when
@@ -622,11 +618,14 @@ class TestSectorFirstValidation:
             i, j = _sector_indices(n)[1][0], _sector_indices(n)[2][-1]
             a = size * np.exp(2j * np.pi * rng.uniform())
             mat[i, j], mat[j, i] = a, -np.conj(a)
-            h = 0.5 * (mat + mat.conj().T)
             assert register_module._sector_blocks(layout, mat) is None
-            assert len(_hermitian_blocks(layout, h)) == n + 1
-            message = self.same_as_dense_path(monkeypatch, layout, mat)
+            # The pair cancels in the Hermitian part, which the reference then
+            # splits into sectors; the state itself stays dense, one block.
+            message = validate(layout, mat.copy())
+            assert message == dense_path_validate(layout, mat.copy())[0]
             assert (message is None) == (size < 1e-10)
+            if message is None:
+                assert DensityOperator(layout, mat).sectors is None
             self.residual_message(monkeypatch, layout, mat)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -803,10 +802,13 @@ class TestBlockedForm:
     def test_matrix_and_blocks_equal_the_dense_reference(self, blocked_and_dense):
         rng = np.random.default_rng(30)
         for n in range(1, 9):
-            blocked, dense = blocked_and_dense(rng, n)
+            blocked, reference = blocked_and_dense(rng, n)
+            assert blocked.matrix.tobytes() == reference.tobytes()
             assert blocked.matrix.tobytes() == dense_of(blocked.sectors, n).tobytes()
-            for k in range(n + 1):
-                assert blocked.sector_block(k).tobytes() == dense.sector_block(k).tobytes()
+            for k, idx in enumerate(_sector_indices(n)):
+                block = blocked.sector_block(k)
+                assert block.tobytes() == reference[np.ix_(idx, idx)].tobytes()
+                assert not block.flags.writeable
             with pytest.raises(RegisterError, match="no excitation sector"):
                 blocked.sector_block(n + 1)
 
@@ -920,3 +922,68 @@ class TestDenseValidationMemory:
         mat[300, 450] = np.nan
         with pytest.raises(RegisterError, match="Hermitian by nan"):
             DensityOperator(layout, mat)
+
+
+import spinmaps.lindblad as lindblad_module  # noqa: E402
+from spinmaps.channels import apply_embedded  # noqa: E402
+from spinmaps.cli import dump_state, load_state  # noqa: E402
+from spinmaps.lindblad import MasterEqSpec, compare_stroboscopic, integrate  # noqa: E402
+from spinmaps.observables import dicke_mixture  # noqa: E402
+from spinmaps.protocols import stabilization_register, stabilize_remove, stabilize_system  # noqa: E402
+
+
+def off_sector_or_qutrit(rho):
+    """True when ``rho`` has a qutrit ion or a nonzero entry of its matrix
+    between basis states of different excitation number."""
+    n = rho.layout.n_ions
+    if rho.layout.ion_dims != (2,) * n:
+        return True
+    ups = np.array([bin(b).count("1") for b in range(2**n)])
+    return bool(np.any(rho.matrix[ups[:, None] != ups[None, :]]))
+
+
+class TestOneRuleForTheForm:
+    """Whatever produced it, a state is dense (``sectors is None``) exactly
+    when it has an entry outside the excitation sectors or a qutrit ion."""
+
+    def test_every_producer_follows_the_rule(self, tmp_path, monkeypatch):
+        n, layout = 3, qubit_register(3)
+        basis = basis_state(layout, [0, 1, 1]).density()
+        equal = PureState(layout, np.full(8, 8**-0.5)).density()
+        cross = DensityOperator(layout, 0.5 * basis.matrix + 0.5 * equal.matrix)
+        qutrit = basis_state(system_with_ancilla(2), [1, 0, 1]).density()
+        for rho in (equal, cross, qutrit):
+            assert rho.sectors is None
+        starts = (basis, dicke_mixture(n), equal, cross)
+        pumped = stabilize_remove(
+            DensityOperator(stabilization_register(n), np.kron(np.diag([0, 1, 0]), basis.matrix)), 1)
+        outputs = {"equal": [equal], "cross-sector": [cross], "qutrit": [qutrit, pumped],
+                   "dicke_mixture": [starts[1]]}
+        pair = elementary_dissipative_map(DissipativeMapSpec(1, 0.7, 0.02))
+        outputs["D"] = [apply_embedded(pair, rho, (0, 1)) for rho in starts]
+        outputs["stabilize_system"] = [
+            stabilize_system(rho, 1, removing) for rho in starts for removing in (True, False)]
+        outputs["partial_trace"] = [partial_trace(pumped, [0]), partial_trace(pumped, [2]),
+                                    partial_trace(cross, [0]), partial_trace(basis, [1])]
+        spec = MasterEqSpec(n, u=0.3, kappa=0.04)
+        outputs["integrate"] = [rho for start in starts for rho in integrate(start, spec, 0.3, 0.1)]
+        compared = []
+        monkeypatch.setattr(lindblad_module, "trace_distance",
+                            lambda a, b: compared.append(b) or 0.0)
+        for start in starts:
+            compare_stroboscopic(start, 0.2, 0.3, 2)
+        outputs["compare_stroboscopic"] = compared
+        loaded = []
+        for i, rho in enumerate([*starts, qutrit]):
+            dump_state(rho, tmp_path / f"{i}.json")
+            loaded.append(load_state(tmp_path / f"{i}.json"))
+        outputs["load_state"] = loaded
+        forms = set()
+        for producer, states in outputs.items():
+            for rho in states:
+                assert (rho.sectors is None) == off_sector_or_qutrit(rho), producer
+                forms.add((producer, rho.sectors is None))
+        for producer in outputs:
+            if producer not in ("equal", "cross-sector", "qutrit", "dicke_mixture"):
+                assert {(producer, True), (producer, False)} <= forms, producer
+        assert ("dicke_mixture", False) in forms
