@@ -66,6 +66,7 @@ from .register import (
     basis_bits,
     basis_state,
     qubit_register,
+    sector_rows,
 )
 
 EXIT_OK = 0
@@ -376,17 +377,88 @@ def initial_state(config: RunConfig) -> DensityOperator:
 # --- state dumps -------------------------------------------------------------
 
 
+# Complex entries per row band of a streamed state dump.
+_DUMP_BAND = 1 << 14
+# Longest JSON spelling of a float magnitude: "2.2250738585072014e-308".
+_FLOAT_TEXT = 23
+
+
+def _entry_slots(entries: int) -> np.ndarray:
+    """Byte slots of ``entries`` dumped entries, one row per float:
+    ``[`` sign text ``, `` for the real part and sign text ``], `` for the
+    imaginary one.  Sign and text are filled in per band, and the NUL bytes
+    of the slots are dropped on writing."""
+    text = 2 + _FLOAT_TEXT
+    slots = np.zeros((entries, 2, text + 3), dtype=np.uint8)
+    slots[:, 0, 0] = ord("[")
+    slots[:, 0, text : text + 2] = np.frombuffer(b", ", np.uint8)
+    slots[:, 1, text:] = np.frombuffer(b"], ", np.uint8)
+    return slots.reshape(2 * entries, text + 3)
+
+
+def _magnitude_texts(mags: np.ndarray) -> np.ndarray:
+    """``(len(mags), _FLOAT_TEXT)`` NUL-padded bytes of each magnitude as
+    ``json.dumps`` spells it, formatted by it in chunks."""
+    texts = np.empty(len(mags), dtype=f"S{_FLOAT_TEXT}")
+    for a in range(0, len(mags), _DUMP_BAND):
+        texts[a : a + _DUMP_BAND] = json.dumps(mags[a : a + _DUMP_BAND].tolist())[1:-1].split(", ")
+    return texts.view(np.uint8).reshape(len(mags), _FLOAT_TEXT)
+
+
+def _ranks(table: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Position of each of ``values`` in the sorted ``table`` that holds them.
+    The values are searched in sorted order, in which ``searchsorted`` starts
+    each search from the previous one (about 2.5x faster on a dump's band)."""
+    order = np.argsort(values)
+    ranks = np.empty(len(values), dtype=np.intp)
+    ranks[order] = np.searchsorted(table, values[order])
+    return ranks
+
+
 def dump_state(rho: DensityOperator, path: Path) -> None:
-    """Write a state as JSON: layout header plus row-major [re, im] entries."""
-    flat = rho.matrix.reshape(-1)
-    payload = {
-        "layout": {
-            "ion_dims": list(rho.layout.ion_dims),
-            "ancilla_index": rho.layout.ancilla_index,
-        },
-        "matrix": np.column_stack([flat.real, flat.imag]).tolist(),
-    }
-    path.write_text(json.dumps(payload) + "\n")
+    """Write a state as JSON: layout header plus row-major [re, im] entries.
+
+    The bytes are ``json.dumps(payload) + "\\n"`` with ``payload["matrix"]``
+    the list of ``[re, im]`` floats, so every float has its shortest
+    round-trip spelling (``NaN``, ``Infinity`` and ``-Infinity`` too).  Each
+    distinct magnitude of the stored values is spelled once by ``json.dumps``
+    and an entry takes its magnitude's text, with a ``-`` where the sign bit
+    is set (never on ``NaN``).  The body is streamed in row bands; a blocked
+    state's bands are scattered from its blocks, so it never builds the
+    dense matrix.
+    """
+    layout = {"ion_dims": list(rho.layout.ion_dims), "ancilla_index": rho.layout.ancilla_index}
+    head, tail = json.dumps({"layout": layout, "matrix": []}).rsplit("[]", 1)
+    d = rho.layout.dim
+    sectors = getattr(rho, "sectors", None)
+    if sectors is None:
+        stored = np.ascontiguousarray(rho.matrix, dtype=complex)
+
+        def rows(a: int, b: int) -> np.ndarray:
+            return stored[a:b]
+
+    else:
+        stored = sectors
+
+        def rows(a: int, b: int) -> np.ndarray:
+            return sector_rows(sectors, rho.layout.n_ions, a, b)
+
+    mags = np.unique(np.abs(stored.view(float)))
+    if sectors is not None and mags[0] != 0.0:
+        mags = np.insert(mags, 0, 0.0)  # the value of every entry outside the blocks
+    texts = _magnitude_texts(mags)
+    band = min(d, max(1, _DUMP_BAND // d))
+    slots = _entry_slots(band * d)
+    with open(path, "wb") as out:
+        out.write(f"{head}[".encode())
+        for a in range(0, d, band):
+            values = rows(a, min(a + band, d)).view(float).reshape(-1)
+            used = slots[: len(values)]
+            used[:, 1] = (np.signbit(values) & ~np.isnan(values)) * ord("-")
+            used[:, 2 : 2 + _FLOAT_TEXT] = texts[_ranks(mags, np.abs(values))]
+            body = used[used != 0]
+            out.write(body if a + band < d else body[:-2])  # no ", " after the last entry
+        out.write(f"]{tail}\n".encode())
 
 
 def load_state(path: Path) -> DensityOperator:
@@ -481,22 +553,6 @@ def run_steps(config: RunConfig) -> Iterator[tuple[ObservableReport, DensityOper
         except RegisterError as exc:
             raise InvariantViolation(f"step {step} ({label}): {exc}") from exc
         yield report, rho
-
-
-def execute(config: RunConfig) -> tuple[list[ObservableReport], list[DensityOperator]]:
-    """Run the schedule, returning one report and one state per executed token.
-
-    Collects :func:`run_steps`, so it holds every state of the run; use
-    :func:`run_to_files` (or :func:`run_steps`) where memory matters.
-    Raises :class:`InvariantViolation` with the offending step and invariant
-    if a state check fails.
-    """
-    reports: list[ObservableReport] = []
-    states: list[DensityOperator] = []
-    for report, rho in run_steps(config):
-        reports.append(report)
-        states.append(rho)
-    return reports, states
 
 
 CSV_BASE_COLUMNS = ("step", "token", "fidelity", "purity", "p_m0")

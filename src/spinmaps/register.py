@@ -24,7 +24,9 @@ Conventions used throughout the package:
   excitation-sector blocks is stored blocked, as one flat buffer of them
   (``C(2N, N)`` entries on N qubits, :func:`sector_views`); any other state
   is stored dense, as its ``d x d`` matrix.  The constructor applies the
-  rule, so no producer needs to know it.
+  rule, so no producer needs to know it.  :func:`sector_rows` is the one
+  scatter of blocks into dense rows: ``DensityOperator.matrix`` takes all of
+  them, a state dump one band at a time.
 * :func:`apply_sector_superop` is the local apply of the blocked form.  Every
   map of the package conserves total ``S_z``, so its superoperator only
   couples local entries ``|p><q|`` and ``|s><t|`` of equal charge
@@ -209,6 +211,18 @@ def sector_views(flat: np.ndarray, n: int) -> list[np.ndarray]:
     ]
 
 
+def sector_rows(flat: np.ndarray, n: int, start: int, stop: int) -> np.ndarray:
+    """Rows ``start..stop-1`` of the ``2**n x 2**n`` matrix of a flat sector
+    buffer of n qubits, scattered from its blocks; zero outside them.  The rows
+    of sector k in the band are ``idx_k[a:b]``, so they take rows ``a..b-1``
+    of its block."""
+    rows = np.zeros((stop - start, 2**n), dtype=complex)
+    for idx, block in zip(_sector_indices(n), sector_views(flat, n)):
+        a, b = np.searchsorted(idx, (start, stop))
+        rows[np.ix_(idx[a:b] - start, idx)] = block[a:b]
+    return rows
+
+
 def system_with_ancilla(n_system: int, ancilla_dim: int = 3) -> RegisterLayout:
     """Ancilla ion at index 0 followed by ``n_system`` qubit spins."""
     return RegisterLayout((ancilla_dim,) + (2,) * n_system, ancilla_index=0)
@@ -352,11 +366,7 @@ class DensityOperator:
         """The ``d x d`` matrix; on the blocked form a fresh array each time."""
         if self.sectors is None:
             return self._matrix
-        n = self.layout.n_ions
-        mat = np.zeros((self.layout.dim,) * 2, dtype=complex)
-        for idx, block in zip(_sector_indices(n), sector_views(self.sectors, n)):
-            mat[np.ix_(idx, idx)] = block
-        return mat
+        return sector_rows(self.sectors, self.layout.n_ions, 0, self.layout.dim)
 
     def sector_block(self, k: int) -> np.ndarray:
         """Diagonal block of excitation sector ``k`` of an all-qubit register: a

@@ -10,7 +10,6 @@ from spinmaps.cli import (
     RunConfig,
     analytics_order_table,
     dump_state,
-    execute,
     initial_state,
     load_state,
     main,
@@ -18,10 +17,18 @@ from spinmaps.cli import (
     parse_config_text,
     parse_schedule,
     reports_to_csv,
+    run_steps,
     run_to_files,
 )
 from spinmaps.observables import dicke_state
-from spinmaps.register import DensityOperator, basis_state, qubit_register
+from spinmaps.register import (
+    DensityOperator,
+    basis_state,
+    qubit_register,
+    sector_buffer,
+    sector_views,
+    system_with_ancilla,
+)
 
 PUMP_CFG = """\
 # three sweeps of the two elementary maps
@@ -34,6 +41,15 @@ schedule {
   REPEAT 3 { SWEEP }
 }
 """
+
+
+def collect_steps(config):
+    """Every report and every state of a run, collected from ``run_steps``."""
+    reports, states = [], []
+    for report, rho in run_steps(config):
+        reports.append(report)
+        states.append(rho)
+    return reports, states
 
 
 class TestScheduleParsing:
@@ -152,7 +168,7 @@ class TestExecution:
         config = parse_config_text(
             "N = 3\nm0 = 2\ninitial = 101\nschedule { REPEAT 6 { SWEEP } }\n"
         )
-        reports, _ = execute(config)
+        reports, _ = collect_steps(config)
         assert len(reports) == 6
         assert reports[-1].dicke_fidelity >= 0.999
 
@@ -160,7 +176,7 @@ class TestExecution:
         config = parse_config_text(
             "N = 3\nm0 = 1\ninitial = equal\nschedule { QND 1 }\n"
         )
-        reports, _ = execute(config)
+        reports, _ = collect_steps(config)
         assert reports[0].success_prob == pytest.approx(3 / 8, abs=1e-12)
         assert reports[0].dicke_fidelity == pytest.approx(1.0, abs=1e-12)
 
@@ -169,14 +185,14 @@ class TestExecution:
             "N = 3\nm0 = 3\ninitial = 000\nschedule { QND 3 }\n"
         )
         with pytest.raises(InvariantViolation) as err:
-            execute(config)
+            collect_steps(config)
         assert "step 1" in str(err.value)
 
     def test_stabilization_tokens_run_on_system_register(self):
         config = parse_config_text(
             "N = 3\nm0 = 1\ninitial = equal\nschedule { REMOVE 1; INJECT 1 }\n"
         )
-        reports, _ = execute(config)
+        reports, _ = collect_steps(config)
         assert reports[0].populations == pytest.approx((1 / 8, 6 / 8, 1 / 8, 0.0), abs=1e-9)
         assert reports[1].populations[0] == pytest.approx(0.0, abs=1e-9)
 
@@ -185,7 +201,7 @@ class TestExecution:
             "N = 3\nm0 = 2\ninitial = 101\nphi = 0.5\n"
             "schedule { REPEAT 2 { SWEEP }; U }\n"
         )
-        reports, _ = execute(config)
+        reports, _ = collect_steps(config)
         assert reports[-1].dicke_fidelity < reports[-2].dicke_fidelity - 0.3
 
 
@@ -207,12 +223,12 @@ class TestOutputs:
         reports, _ = run_to_files(config, tmp_path, "dumped", dump_states=True)
         assert all(r.state_dump for r in reports)
         final = load_state(tmp_path / reports[-1].state_dump)
-        _, states = execute(config)
+        _, states = collect_steps(config)
         assert np.max(np.abs(final.matrix - states[-1].matrix)) <= 1e-15
 
     def test_blank_success_column_without_qnd(self):
         config = parse_config_text(PUMP_CFG)
-        reports, _ = execute(config)
+        reports, _ = collect_steps(config)
         text = reports_to_csv(reports, config)
         assert text.splitlines()[1].endswith(",")
 
@@ -437,7 +453,8 @@ class TestScheduleBlockText:
 
 
 class TestDumpStateBytes:
-    """``dump_state`` writes the bytes of the per-entry float comprehension."""
+    """``dump_state`` writes the bytes of ``json.dumps`` over the per-entry
+    float comprehension, on both forms and for every special float."""
 
     @staticmethod
     def comprehension_dump(rho):
@@ -451,12 +468,25 @@ class TestDumpStateBytes:
         }
         return json.dumps(payload) + "\n"
 
-    @pytest.mark.parametrize("seed", range(4))
+    @staticmethod
+    def random_dense(rng, layout):
+        d = layout.dim
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        a = a @ a.conj().T
+        return DensityOperator(layout, a / np.trace(a).real)
+
+    @staticmethod
+    def random_blocked(rng, n):
+        flat = sector_buffer(n)
+        for block in sector_views(flat, n):
+            g = rng.standard_normal(block.shape) + 1j * rng.standard_normal(block.shape)
+            block[...] = g @ g.conj().T
+        flat /= sum(np.trace(b) for b in sector_views(flat, n)).real
+        return DensityOperator.from_sectors(qubit_register(n), flat)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 7])
     def test_random_states(self, tmp_path, seed):
-        rng = np.random.default_rng(seed)
-        n = 1 + seed
-        a = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
-        rho = DensityOperator(qubit_register(n), a @ a.conj().T / np.trace(a @ a.conj().T).real)
+        rho = self.random_dense(np.random.default_rng(seed), qubit_register(1 + seed))
         dump_state(rho, tmp_path / "s.json")
         assert (tmp_path / "s.json").read_text() == self.comprehension_dump(rho)
         assert load_state(tmp_path / "s.json").matrix.tobytes() == rho.matrix.tobytes()
@@ -478,6 +508,60 @@ class TestDumpStateBytes:
         rho = SimpleNamespace(layout=qubit_register(1), matrix=mat)
         dump_state(rho, tmp_path / "s.json")
         assert (tmp_path / "s.json").read_text() == self.comprehension_dump(rho)
+
+    def test_lower_triangle_not_the_bitwise_mirror(self, tmp_path):
+        # Hermitian within 1e-10, but no stored entry below the diagonal is
+        # the exact mirror of its partner, so no symmetry may be assumed.
+        rng = np.random.default_rng(11)
+        mat = self.random_dense(rng, qubit_register(4)).matrix.copy()
+        lower = np.tril_indices(16, -1)
+        mat[lower] *= 1 + 1e-12 * (1 + rng.random(len(lower[0])))
+        rho = DensityOperator(qubit_register(4), mat)
+        assert not np.any(mat[lower] == mat.T.conj()[lower])
+        dump_state(rho, tmp_path / "s.json")
+        assert (tmp_path / "s.json").read_text() == self.comprehension_dump(rho)
+        assert load_state(tmp_path / "s.json").matrix.tobytes() == mat.tobytes()
+
+    def test_special_floats(self, tmp_path):
+        nan = float("nan")
+        values = [np.inf, -np.inf, nan, np.copysign(nan, -1.0), -0.0, 0.0, 5e-324,
+                  -5e-324, 1e16, -1e16, 9.999e-05, -9.999e-05, 1e-4, -1e-4, 0.5, -2.0]
+        assert np.signbit(values[3]) and not np.signbit(values[2])
+        mat = np.empty((4, 4), dtype=complex)
+        mat.real.flat, mat.imag.flat = values, values[::-1]
+        rho = SimpleNamespace(layout=qubit_register(2), matrix=mat)
+        dump_state(rho, tmp_path / "s.json")
+        text = (tmp_path / "s.json").read_text()
+        assert text == self.comprehension_dump(rho)
+        assert "-NaN" not in text and "-Infinity" in text and "9.999e-05" in text
+
+    def test_qutrit_ancilla_layout(self, tmp_path):
+        rho = self.random_dense(np.random.default_rng(3), system_with_ancilla(3))
+        dump_state(rho, tmp_path / "s.json")
+        assert (tmp_path / "s.json").read_text() == self.comprehension_dump(rho)
+        loaded = load_state(tmp_path / "s.json")
+        assert loaded.layout == rho.layout
+        assert loaded.matrix.tobytes() == rho.matrix.tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_blocked_states_round_trip(self, tmp_path, n):
+        rho = self.random_blocked(np.random.default_rng(n), n)
+        dump_state(rho, tmp_path / "s.json")
+        assert (tmp_path / "s.json").read_text() == self.comprehension_dump(rho)
+        loaded = load_state(tmp_path / "s.json")
+        assert loaded.sectors is not None
+        assert loaded.sectors.tobytes() == rho.sectors.tobytes()
+
+    def test_blocked_dump_never_builds_the_matrix(self, tmp_path, monkeypatch):
+        rho = self.random_blocked(np.random.default_rng(9), 9)
+        expected = self.comprehension_dump(rho)
+
+        def no_matrix(self):
+            raise AssertionError("the dense matrix was built")
+
+        monkeypatch.setattr(DensityOperator, "matrix", property(no_matrix))
+        dump_state(rho, tmp_path / "s.json")
+        assert (tmp_path / "s.json").read_text() == expected
 
 
 class TestDeepRepeatNesting:
@@ -543,7 +627,7 @@ import tracemalloc  # noqa: E402
 from dataclasses import replace  # noqa: E402
 
 import spinmaps.cli as cli_module  # noqa: E402
-from spinmaps.cli import MAX_N, _config_echo, run_steps  # noqa: E402
+from spinmaps.cli import MAX_N, _config_echo  # noqa: E402
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -552,7 +636,7 @@ def collect_then_write(config, out_dir, stem, dump_states=False):
     """The writer of the previous release, kept here as the reference: run the
     whole schedule, holding every state, then write dumps, CSV and JSON."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    reports, states = execute(config)
+    reports, states = collect_steps(config)
     dump = dump_states or config.dump_states
     if dump:
         dumped = []
@@ -609,9 +693,9 @@ class TestStreamingRun:
         assert len(files) == 2 + (len(config.schedule) if dump else 0)
         assert files == tree_bytes(tmp_path / "reference")
 
-    def test_run_steps_is_what_execute_collects(self):
+    def test_run_steps_repeats_a_collected_run_bitwise(self):
         config = parse_config(CONFIGS / "competition_3spin.cfg")
-        reports, states = execute(config)
+        reports, states = collect_steps(config)
         steps = list(run_steps(config))
         assert [r for r, _ in steps] == reports
         for (_, rho), state in zip(steps, states):
