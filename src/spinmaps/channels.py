@@ -3,7 +3,9 @@ and parking, Choi matrices and fidelity measures.
 
 Life cycle of a local operation: it is built once as a validated
 :class:`Channel` on its own ions, multiplied out only by :func:`compose`, and
-applied through :func:`apply_embedded`, which checks sites and applies its cached superoperator."""
+applied through :func:`apply_embedded`, which checks its sites and hands its
+cached superoperator to :func:`~spinmaps.register.apply_local`; the register
+picks the kernel for the state's form and re-Hermitizes the output."""
 
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from .register import (
     DensityOperator,
     PureState,
     RegisterLayout,
-    apply_local_superop,
+    apply_local,
     check_sites,
     embed_operator,
     kraus_superop,
@@ -101,14 +103,15 @@ def apply(channel: Channel, rho: DensityOperator) -> DensityOperator:
 def apply_embedded(
     channel: Channel, rho: DensityOperator, sites: tuple[int, ...]
 ) -> DensityOperator:
-    """Apply a channel supported on a sub-register at the given ion indices."""
+    """Apply a channel supported on a sub-register at the given ion indices,
+    then re-Hermitize; a blocked state stays blocked when the channel moves
+    no excitation charge."""
     check_sites(sites, rho.layout.n_ions)
     dims = tuple(channel.layout.ion_dims)
     target = tuple(rho.layout.ion_dims[s] for s in sites)
     if target != dims:
         raise ChannelError(f"channel ions {dims} do not fit register sites {target}")
-    out = apply_local_superop(rho.matrix, channel.superop, sites, rho.layout.ion_dims)
-    return DensityOperator(rho.layout, out)
+    return apply_local(rho, channel.superop, [sites])
 
 
 def unitary_channel(layout: RegisterLayout, u: np.ndarray, label: str = "") -> Channel:

@@ -29,13 +29,10 @@ from .channels import (
 from .register import (
     DensityOperator,
     RegisterError,
-    apply_local_superop,
-    apply_sector_superop,
+    apply_local,
     basis_bits,
     embed_operator,
-    hermitize,
     qubit_register,
-    sector_views,
 )
 
 _PAIR_LAYOUT = qubit_register(2)
@@ -240,22 +237,10 @@ _cached_hamiltonian_map = lru_cache(maxsize=64)(elementary_hamiltonian_map)
 
 
 def _pair_sweep(rho: DensityOperator, channel: Channel, periodic: bool) -> DensityOperator:
-    """Apply one pair channel on every sweep pair in order, then re-Hermitize.
-    A blocked state is swept on its sector blocks and stays blocked; a dense
-    one goes through the tiled local apply."""
+    """Apply one pair channel on every sweep pair in order, then re-Hermitize."""
     n = rho.layout.n_ions
     pairs = [_sites_to_ions(site, n, periodic) for site in _sweep_sites(n, periodic)]
-    if rho.sectors is not None:
-        flat = rho.sectors.copy()  # the one working buffer: every pair applies in place
-        for ions in pairs:
-            apply_sector_superop(flat, channel.superop, ions, n)
-        for block in sector_views(flat, n):
-            hermitize(block)
-        return DensityOperator.from_sectors(rho.layout, flat)
-    mat = rho.matrix.copy()  # the one working state: every pair applies in place
-    for ions in pairs:
-        apply_local_superop(mat, channel.superop, ions, rho.layout.ion_dims, out=mat)
-    return DensityOperator(rho.layout, hermitize(mat))
+    return apply_local(rho, channel.superop, pairs)
 
 
 def apply_dissipative_map(rho: DensityOperator, spec: DissipativeMapSpec, periodic: bool = False) -> DensityOperator:

@@ -13,9 +13,10 @@ Conventions used throughout the package:
   span{|0>, |1>} and annihilate ``|2>``, except gate unitaries, which keep
   it; identity factors keep ``|2>`` untouched.
 * :func:`embed_operator` is the one embedder of a local operator into the
-  register and :func:`apply_local_superop` the one local apply path of a
-  dense state: it works tile by tile through a transposed view of the
-  state, never permuting it, and may write into its input.
+  register and :func:`apply_local` the one local apply of a state, which
+  picks the kernel for its form.  :func:`apply_local_superop` is the dense
+  kernel: it works tile by tile through a transposed view of the state,
+  never permuting it, and may write into its input.
   :func:`hermitize` is ``(m + m^dag) / 2`` in place, also by tiles.
 * This module owns the superoperator convention, row-major ``A rho B <-> A (x) B^T``;
   only :func:`kraus_superop` folds a Kraus set, ``sum K (x) conj(K)``.
@@ -277,12 +278,11 @@ class DensityOperator:
     Construction validates Hermiticity (1e-10), unit trace (1e-10) and
     positivity (smallest eigenvalue of the Hermitian part ``H`` >= -1e-8);
     each check fails on NaN, and each error names its value and tolerance.
-    There are two paths.  Blocked, the Hermiticity residual is the largest
-    over the blocks, the trace is the sum of the block traces and ``H`` is
-    taken per block; they equal the dense values, since every entry outside
-    the blocks is zero.  Dense, the residual is computed one mirrored pair
-    of tiles at a time, the trace is ``np.trace(matrix)`` and ``H`` is one
-    block.
+    There is one path over the stored blocks, a dense matrix being one
+    block: the Hermiticity residual is the largest tiled residual of a
+    block, the trace is the sum of the block traces and ``H`` is taken per
+    block.  On the blocked form they equal the dense values, since every
+    entry outside the blocks is zero.
 
     A Hermitian block passes when ``block + s 1`` with ``s = 1e-8 - 1e-10``
     has a Cholesky factor, which proves its smallest eigenvalue is above
@@ -328,36 +328,25 @@ class DensityOperator:
                 mat = None
             object.__setattr__(self, "_matrix", mat)
             object.__setattr__(self, "sectors", flat)
-        if self.sectors is not None:
-            flat = self.sectors
-            if layout.ion_dims != (2,) * n or flat.shape != (_sector_offsets(n)[-1],):
-                raise RegisterError(
-                    f"sector buffer of shape {flat.shape} does not fit ion dims {layout.ion_dims}"
-                )
-            blocks = sector_views(flat, n)
-            herm = np.max([np.max(np.abs(b - b.conj().T)) for b in blocks])
-            tr = sum(np.trace(b) for b in blocks)
-
-            def hermitian():
-                return (hermitize(b.copy()) for b in blocks)
-
-        else:
-            mat = self._matrix
-            herm = _hermiticity_residual(mat)
-            tr = np.trace(mat)
-
-            def hermitian():
-                return [hermitize(mat.copy())]
-
+        flat = self.sectors
+        if flat is not None and (
+            layout.ion_dims != (2,) * n or flat.shape != (_sector_offsets(n)[-1],)
+        ):
+            raise RegisterError(
+                f"sector buffer of shape {flat.shape} does not fit ion dims {layout.ion_dims}"
+            )
+        blocks = [self._matrix] if flat is None else sector_views(flat, n)
+        herm = np.max([_hermiticity_residual(b) for b in blocks])
+        tr = sum(np.trace(b) for b in blocks)
         if not herm <= HERMITICITY_TOL:
             raise RegisterError(
                 f"matrix deviates from Hermitian by {herm} (tolerance {HERMITICITY_TOL})"
             )
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise RegisterError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
-        if all(_clears_floor(block) for block in hermitian()):
+        if all(_clears_floor(hermitize(b.copy())) for b in blocks):
             return
-        lo = float(np.min(np.concatenate([np.linalg.eigvalsh(b) for b in hermitian()])))
+        lo = float(np.min(np.concatenate([np.linalg.eigvalsh(hermitize(b.copy())) for b in blocks])))
         if not lo >= POSITIVITY_FLOOR:
             raise RegisterError(f"smallest eigenvalue {lo} below {POSITIVITY_FLOOR}")
 
@@ -383,11 +372,6 @@ class DensityOperator:
             return self._matrix[np.ix_(idx, idx)]
         off = _sector_offsets(n)
         return self.sectors[off[k] : off[k + 1]].reshape(len(idx), len(idx))
-
-    def tensor(self) -> np.ndarray:
-        """Matrix reshaped to one ket and one bra axis per ion."""
-        dims = self.layout.ion_dims
-        return self.matrix.reshape(dims + dims)
 
 
 # Diagonal shift of the Cholesky test: 1e-10 inside the positivity floor.
@@ -652,6 +636,29 @@ def apply_sector_superop(
     return flat
 
 
+def apply_local(
+    rho: DensityOperator, superop: np.ndarray, placements: Iterable[Sequence[int]]
+) -> DensityOperator:
+    """Apply a row-major local superoperator at each sites tuple of ``placements``
+    in order, in place on one copy of ``rho``'s stored form, then re-Hermitize
+    it and return it validated.  A blocked state under a qubit superoperator
+    that moves no charge takes :func:`apply_sector_superop` and stays blocked;
+    any other takes the tiled :func:`apply_local_superop`."""
+    n, dims = rho.layout.n_ions, rho.layout.ion_dims
+    k = (len(superop).bit_length() - 1) // 2  # a k-qubit superoperator is 4**k square
+    if rho.sectors is not None and superop.shape == (4**k, 4**k) and not np.any(superop[_charge_moving(k)]):
+        flat = rho.sectors.copy()
+        for sites in placements:
+            apply_sector_superop(flat, superop, sites, n)
+        for block in sector_views(flat, n):
+            hermitize(block)
+        return DensityOperator.from_sectors(rho.layout, flat)
+    mat = rho.matrix if rho.sectors is not None else rho.matrix.copy()  # a blocked .matrix is fresh
+    for sites in placements:
+        apply_local_superop(mat, superop, sites, dims, out=mat)
+    return DensityOperator(rho.layout, hermitize(mat))
+
+
 def _mirrored_tiles(mat: np.ndarray):
     """Pairs of tiles ``(mat[I, J], mat[J, I])`` of the square ``mat`` over the
     tile rows ``I`` and columns ``J >= I``, as views."""
@@ -688,7 +695,7 @@ def partial_trace(rho: DensityOperator, ions: Iterable[int]) -> DensityOperator:
     keep = [i for i in range(layout.n_ions) if i not in traced]
     if not keep:
         raise RegisterError("cannot trace out the whole register")
-    t = rho.tensor()
+    t = rho.matrix.reshape(layout.ion_dims * 2)
     n = layout.n_ions
     for offset, i in enumerate(traced):
         ax = i - offset

@@ -780,6 +780,16 @@ class TestRegisterSizeCap:
         assert f"config error: N = {n} exceeds" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_out_of_memory_exits_2_with_a_message(self, tmp_path, capsys, monkeypatch):
+        def no_memory(config):
+            raise MemoryError("Unable to allocate 1.00 GiB for an array with shape (8192, 8192)")
+
+        monkeypatch.setattr(cli_module, "initial_state", no_memory)
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("N = 13\nm0 = 1\ninitial = equal-superposition\nschedule { SWEEP }\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "out of memory: Unable to allocate 1.00 GiB" in capsys.readouterr().err
+
 
 from spinmaps.register import _sector_plan  # noqa: E402
 

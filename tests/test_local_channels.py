@@ -9,10 +9,13 @@ import pytest
 
 from spinmaps.channels import (
     ChannelError,
+    apply_embedded,
+    compose,
     park_from,
     park_kraus_ops,
     reset_ancilla,
     reset_channel,
+    unitary_channel,
 )
 from spinmaps.gateset import (
     min_register_size,
@@ -34,7 +37,9 @@ from spinmaps.register import (
     DensityOperator,
     RegisterError,
     RegisterLayout,
+    apply_local_superop,
     embed_operator,
+    hermitize,
     qubit_operator,
     qubit_register,
 )
@@ -150,6 +155,25 @@ class TestStateUpdatesAgainstDenseKraus:
             noise = [np.kron(a, b) / 4 for a in paulis for b in paulis]
             expected = expected + eps * dense_kraus_sum(rho, noise, pair)
             out = apply_dissipative_map(rho, DissipativeMapSpec(site, theta, eps), periodic)
+            assert np.max(np.abs(out.matrix - expected)) <= 1e-12
+
+
+class TestQubitResetOfABlockedState:
+    """``apply_embedded`` on a blocked state agrees with the tiled kernel on
+    its numpy matrix.  A plain qubit reset moves no excitation charge, so the
+    state stays blocked; a reset into a tilted state moves charge and goes dense."""
+
+    @pytest.mark.parametrize("tilt,stays_blocked", [(0.0, True), (0.35, False)])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_agrees_with_the_tiled_kernel(self, blocked_and_dense, n, tilt, stays_blocked):
+        blocked, reference = blocked_and_dense(np.random.default_rng(70 + n), n)
+        local = qubit_register(1)
+        rotation = np.cos(tilt) * np.eye(2) - 1j * np.sin(tilt) * qubit_operator("x")
+        channel = compose(reset_channel(local, 0, 1), unitary_channel(local, rotation))
+        for ion in range(n):
+            out = apply_embedded(channel, blocked, (ion,))
+            expected = hermitize(apply_local_superop(reference, channel.superop, (ion,), (2,) * n))
+            assert (out.sectors is not None) == stays_blocked
             assert np.max(np.abs(out.matrix - expected)) <= 1e-12
 
 

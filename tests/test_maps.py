@@ -425,7 +425,9 @@ def _sector_mixed_state(rng, n):
 _SWEEPS = [
     lambda rho: composite_dissipative_sweep(rho, 0.7, 0.02),
     lambda rho: apply_hamiltonian_map(rho, 0.25, 0.004),
+    lambda rho: apply_dissipative_map(rho, DissipativeMapSpec(3, 0.7, 0.02)),
 ]
+_SWEEP_IDS = ["dissipative", "hamiltonian", "single-D"]
 
 
 def _traced_peak(sweep, rho):
@@ -442,19 +444,19 @@ def _traced_peak(sweep, rho):
 
 
 class TestSweepMemory:
-    """A sweep holds its input plus one working state: every pair is applied
-    in place and the re-Hermitization is tiled.  The sector state is blocked,
-    so its working state is a sector buffer and its validation is per block;
-    a state with cross-sector coherence is dense, and its validation adds one
-    Hermitian copy."""
+    """A sweep or one pair map holds its input plus one working state: every
+    pair is applied in place and the re-Hermitization is tiled.  The sector
+    state is blocked, so its working state is a sector buffer and its
+    validation is per block; a state with cross-sector coherence is dense,
+    and its validation adds one Hermitian copy."""
 
-    @pytest.mark.parametrize("sweep", _SWEEPS, ids=["dissipative", "hamiltonian"])
+    @pytest.mark.parametrize("sweep", _SWEEPS, ids=_SWEEP_IDS)
     def test_traced_peak_above_the_input(self, sweep):
         rho = _sector_mixed_state(np.random.default_rng(9), 9)
         assert rho.sectors is not None
         assert _traced_peak(sweep, rho) <= 1.5
 
-    @pytest.mark.parametrize("sweep", _SWEEPS, ids=["dissipative", "hamiltonian"])
+    @pytest.mark.parametrize("sweep", _SWEEPS, ids=_SWEEP_IDS)
     def test_dense_traced_peak_above_the_input(self, sweep):
         rng = np.random.default_rng(10)
         g = rng.standard_normal((2**9, 3)) + 1j * rng.standard_normal((2**9, 3))
@@ -513,6 +515,6 @@ class TestBlockedSweeps:
         blocked, reference = blocked_and_dense(np.random.default_rng(61), 4)
         spec = DissipativeMapSpec(2, 0.5, 0.02)
         out = apply_dissipative_map(blocked, spec)
-        expected = apply_local_superop(reference, elementary_dissipative_map(spec).superop, (1, 2), (2,) * 4)
+        expected = hermitize(apply_local_superop(reference, elementary_dissipative_map(spec).superop, (1, 2), (2,) * 4))
         assert out.sectors is not None
-        assert np.array_equal(out.matrix, expected)
+        assert np.max(np.abs(out.matrix - expected)) <= 1e-12
