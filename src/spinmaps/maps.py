@@ -231,7 +231,7 @@ def _sweep_sites(n: int, periodic: bool) -> list[int]:
     return list(range(1, n + 1 if periodic else n))
 
 
-# Sweeps reuse one pair channel, and with it its folded superoperator.
+# Sweeps and single D maps reuse one pair channel and its folded superoperator.
 _cached_dissipative_map = lru_cache(maxsize=64)(elementary_dissipative_map)
 _cached_hamiltonian_map = lru_cache(maxsize=64)(elementary_hamiltonian_map)
 
@@ -244,9 +244,9 @@ def _pair_sweep(rho: DensityOperator, channel: Channel, periodic: bool) -> Densi
 
 
 def apply_dissipative_map(rho: DensityOperator, spec: DissipativeMapSpec, periodic: bool = False) -> DensityOperator:
-    """Apply D_{i,i+1} to a register state (local Kraus application)."""
+    """Apply D_{i,i+1} to a register state with the sweeps' pair channel."""
     ions = _sites_to_ions(spec.site, rho.layout.n_ions, periodic)
-    return apply_embedded(elementary_dissipative_map(spec), rho, ions)
+    return apply_embedded(_cached_dissipative_map(DissipativeMapSpec(1, spec.theta, spec.epsilon)), rho, ions)
 
 
 def composite_dissipative_sweep(

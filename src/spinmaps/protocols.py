@@ -7,18 +7,17 @@ third level parks the ancilla outside the computational space), ions
 every run, and the halting branches are realized physically by incoherent
 parking of the ancilla.
 
-A half-round runs on the ancilla blocks ``rho_ab = <a| rho |b>`` of the
-register state, never on the ``3 * 2^N`` register itself.  This is exact:
-every park Kraus set ``{|2><s|, |o><o|, |2><2|}`` removes all coherence
-between ancilla levels, and the pump sends every level to ``|1>``.  So
-after the detector and the first park the state is ancilla-diagonal,
-``|k><k| (x) rho_k + |2><2| (x) rho_2`` (kept level k = 0 for removal, 1 for
-injection, after the pi pulse relabels levels 0 and 1), and the pump returns
-``|1><1| (x) (rho_k + rho_2)``.  A cascade step only relabels levels: the
-swap sends ``|k, 1-k>`` to ``-i |1-k, k>`` and fixes ``|k, k>``, and the park
-moves level 1-k to 2.  So it adds the site's ``(1-k, 1-k)`` sub-block of
-``rho_k`` into the ``(k, k)`` sub-block of ``rho_2`` (phase ``|-i|^2 = 1``)
-and zeroes the rest of ``rho_k`` but its ``(k, k)`` sub-block, in place.
+A half-round is one :func:`~spinmaps.register.relabel` of basis states on
+the stored form of the state.  This is exact: each of its gates (the pi
+pulse, the detector ``exp(-i pi/2 X)`` on flagged states, the swap
+``|0,1> <-> -i |1,0>``) sends a basis state to one basis state times a
+phase, and each park ``{|2><p|, |o><o|, |2><2|}``, like the pump
+``{|1><a|}``, picks its Kraus operator by the ancilla level alone.  So each
+basis state ``|a, s>`` follows one Kraus path to ``w |1, t>``, and the
+half-round maps ``|a, s><a', s'|`` to ``w conj(w') |1, t><1, t'|`` when the
+two follow the same path, to zero otherwise (:func:`_kraus_paths`).  A path
+moves the same number of excitations from every state it carries, so it
+takes a sector into one sector and a blocked system state stays blocked.
 The excitation-number projector is diagonal and is stored as its diagonal.
 """
 
@@ -34,8 +33,9 @@ from .register import (
     DensityOperator,
     RegisterError,
     RegisterLayout,
+    basis_bits,
     excitation_numbers,
-    hermitize,
+    relabel,
     sector_buffer,
     sector_views,
     system_with_ancilla,
@@ -155,12 +155,10 @@ def postselect(rho: DensityOperator, m0: int) -> tuple[DensityOperator | None, f
 
 # --- stabilization internals -------------------------------------------------
 
-_DETECT_GATE = np.array(
-    [[0, -1j, 0], [-1j, 0, 0], [0, 0, 1]], dtype=complex
-)  # exp(-i pi/2 X) on the qubit block of the qutrit ancilla
-
-# The pi pulse and the swap as gates; the half-round applies them as level
-# relabellings, and the tests' dense Kraus-sum oracle applies these matrices.
+# The detector's exp(-i pi/2 X) on the qubit block of the qutrit ancilla, the
+# pi pulse and the swap as gates; the half-round applies them as relabellings,
+# and the tests' dense Kraus-sum oracle applies these matrices.
+_DETECT_GATE = np.array([[0, -1j, 0], [-1j, 0, 0], [0, 0, 1]], dtype=complex)
 _ANCILLA_PI = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
 
 
@@ -173,28 +171,6 @@ def _swap_gate() -> np.ndarray:
     return u
 
 
-def _cascade_move(kept: np.ndarray, parked: np.ndarray, site: int, n: int, stay: int) -> None:
-    """Swap-then-park at ``site`` (1-based) on ``|stay><stay| (x) kept +
-    |2><2| (x) parked``, in place: the reshapes only split axes, so they are
-    views of any strided block."""
-    shape = (2 ** (site - 1), 2, 2 ** (n - site)) * 2
-    k, p = kept.reshape(shape), parked.reshape(shape)
-    moved = 1 - stay
-    p[:, stay, :, :, stay, :] += k[:, moved, :, :, moved, :]
-    k[:, moved] = 0
-    k[:, stay, :, :, moved] = 0
-
-
-def _check_stabilization_layout(rho: DensityOperator) -> int:
-    layout = rho.layout
-    if layout.ancilla_index != 0 or layout.ion_dims[0] != 3:
-        raise RegisterError("stabilization requires a qutrit ancilla at index 0")
-    n = layout.n_ions - 1
-    if layout.ion_dims[1:] != (2,) * n:
-        raise RegisterError("system ions must be qubits")
-    return n
-
-
 def _cascade_sites(n: int, m0: int, removing: bool) -> list[int]:
     """Swap-cascade site order: 1, 2, ..., N-1, extended to N only in the
     edge cases (removal with m0 = 0, injection with m0 = N) where the last
@@ -205,59 +181,42 @@ def _cascade_sites(n: int, m0: int, removing: bool) -> list[int]:
     return sites
 
 
-def _stabilize_half(
-    blocks: dict[tuple[int, int], np.ndarray], n: int, m0: int, removing: bool
-) -> np.ndarray:
-    """One half-round on the ancilla blocks ``{(a, b): <a| rho |b>}`` of a
-    register state (absent blocks are zero); returns the system matrix
-    ``sigma`` of the output ``|1><1| (x) sigma``.  No input block is written."""
+def _kraus_paths(n: int, m0: int, removing: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(path, target, phase)`` of a half-round for every register basis state
+    ``|a, s>`` (index ``a * 2**n + s``): it goes to ``phase |1, target>`` along
+    the Kraus path numbered ``path``, the base-3 digits of the ancilla level
+    at each park and at the pump."""
     if not 0 <= m0 <= n:
         raise RegisterError(f"m0 {m0} out of range for N={n}")
-    counts = excitation_numbers(n)
-    flags = counts > m0 if removing else counts < m0
-    if not removing:
-        # the pi pulse exchanging the ancilla's computational levels switches
-        # the extraction circuit into the injection one
-        pi_level = (1, 0, 2)
-        blocks = {(pi_level[a], pi_level[b]): blk for (a, b), blk in blocks.items()}
-    # coeff[s, i, j]: the detector's ancilla gate on system basis state s
-    coeff = np.where(flags[:, None, None], _DETECT_GATE, np.eye(3, dtype=complex))
-    park_level = 1 if removing else 0
-
-    def detected(level: int) -> np.ndarray | None:
-        """Diagonal block (level, level) of the detector's output."""
-        out = None
-        for (j, k), blk in blocks.items():
-            left, right = coeff[:, level, j], coeff[:, level, k]
-            if left.any() and right.any():
-                term = left[:, None] * blk * right.conj()
-                out = term if out is None else out + term
-        return out
-
-    # The first park keeps (keep, keep) and sums the parked blocks into
-    # (2, 2).  Both are fresh arrays, so no input block is written.
-    keep = 1 - park_level
-    kept = detected(keep)
-    parked = [b for b in (detected(park_level), blocks.get((2, 2))) if b is not None]
-    parked = sum(parked) if parked else None
-    if kept is not None:
-        parked = np.zeros_like(kept) if parked is None else parked
-        for site in _cascade_sites(n, m0, removing):
-            _cascade_move(kept, parked, site, n, stay=keep)
-    # The pump sends every ancilla level to |1>.
-    return hermitize(sum(b for b in (kept, parked) if b is not None))
+    d = 2**n
+    level = np.repeat([0, 1, 2] if removing else [1, 0, 2], d)  # injection: the pi pulse
+    bits = np.tile(basis_bits(n), (3, 1))
+    counts = np.tile(excitation_numbers(n), 3)
+    flip = (level < 2) & (counts > m0 if removing else counts < m0)  # the detector
+    level[flip] ^= 1
+    phase = np.where(flip, -1j, 1)
+    parking = 1 if removing else 0
+    path = np.zeros(3 * d, dtype=np.int64)
+    for site in [0] + _cascade_sites(n, m0, removing):
+        if site:
+            swap = level + bits[:, site - 1] == 1  # |0,1> <-> -i |1,0>
+            level[swap] ^= 1
+            bits[swap, site - 1] ^= 1
+            phase[swap] *= -1j
+        path = 3 * path + level
+        level[level == parking] = 2
+    path = 3 * path + level  # the pump |1><a|
+    return path, bits @ (1 << np.arange(n - 1, -1, -1)), phase
 
 
 def _half_round(rho: DensityOperator, m0: int, removing: bool) -> DensityOperator:
-    n = _check_stabilization_layout(rho)
-    d = 2**n
-    t = rho.matrix.reshape(3, d, 3, d)
-    sigma = _stabilize_half(
-        {(a, b): t[a, :, b] for a in range(3) for b in range(3)}, n, m0, removing
-    )
-    out = np.zeros_like(rho.matrix)
-    out[d : 2 * d, d : 2 * d] = sigma
-    return DensityOperator(rho.layout, out)
+    layout, n = rho.layout, rho.layout.n_ions - 1
+    if layout.ancilla_index != 0 or layout.ion_dims[0] != 3:
+        raise RegisterError("stabilization requires a qutrit ancilla at index 0")
+    if layout.ion_dims[1:] != (2,) * n:
+        raise RegisterError("system ions must be qubits")
+    path, target, phase = _kraus_paths(n, m0, removing)
+    return relabel(rho, path, 2**n + target, phase)
 
 
 def stabilize_remove(rho: DensityOperator, m0: int) -> DensityOperator:
@@ -292,10 +251,11 @@ def stabilize_system(rho: DensityOperator, m0: int, removing: bool) -> DensityOp
     the ancilla prepared in |1>, returning the validated system state.
 
     Equals ``partial_trace(stabilize_remove(kron(|1><1|, rho), m0), [0])``
-    (or the injection), but starts from the single block ``(1, 1) = rho``
-    and never builds the register state.
+    (or the injection), but relabels ``rho``'s stored form along the Kraus
+    paths of the states ``|1, s>``, so it never builds the register state.
     """
     n = rho.layout.n_ions
     if rho.layout.ion_dims != (2,) * n:
         raise RegisterError("stabilize_system expects a system-only qubit register")
-    return DensityOperator(rho.layout, _stabilize_half({(1, 1): rho.matrix}, n, m0, removing))
+    rows = slice(2**n, 2 ** (n + 1))  # the basis states |1, s>
+    return relabel(rho, *(a[rows] for a in _kraus_paths(n, m0, removing)))

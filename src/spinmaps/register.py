@@ -18,6 +18,8 @@ Conventions used throughout the package:
   kernel: it works tile by tile through a transposed view of the state,
   never permuting it, and may write into its input.
   :func:`hermitize` is ``(m + m^dag) / 2`` in place, also by tiles.
+  :func:`relabel` applies, on either form, a channel whose Kraus operators
+  send basis states to basis states times phases (a stabilization half-round).
 * This module owns the superoperator convention, row-major ``A rho B <-> A (x) B^T``;
   only :func:`kraus_superop` folds a Kraus set, ``sum K (x) conj(K)``.
 * A :class:`DensityOperator` is stored in one of two forms, by one rule:
@@ -657,6 +659,42 @@ def apply_local(
     for sites in placements:
         apply_local_superop(mat, superop, sites, dims, out=mat)
     return DensityOperator(rho.layout, hermitize(mat))
+
+
+def relabel(
+    rho: DensityOperator, path: np.ndarray, target: np.ndarray, phase: np.ndarray
+) -> DensityOperator:
+    """The channel whose Kraus operators each send basis state ``i`` to
+    ``phase[i] |target[i]>`` if ``path[i]`` is the operator's number, else to
+    zero: ``sum phase[i] conj(phase[j]) rho[i, j] |target[i]><target[j]|`` over
+    ``path[i] == path[j]``.  Targets must be distinct within a path.  One
+    gather and one scatter per (path, stored block) into a fresh buffer of
+    the input's form, then re-Hermitized and validated; a blocked state stays
+    blocked, so a path must take each sector into one sector."""
+    n, d = rho.layout.n_ions, rho.layout.dim
+    if not len(path) == len(target) == len(phase) == d:
+        raise RegisterError(f"relabel needs a path, target and phase per basis state of dim {d}")
+    if rho.sectors is None:
+        out = np.zeros((d, d), dtype=complex)
+        sources, indices, dests = [rho.matrix], [np.arange(d)], [out]
+        block_of, pos = np.zeros(d, dtype=np.intp), np.arange(d)
+    else:
+        out = sector_buffer(n)
+        sources, indices, dests = sector_views(rho.sectors, n), _sector_indices(n), sector_views(out, n)
+        block_of, pos = excitation_numbers(n), _sector_positions(n)
+    for block, idx in zip(sources, indices):
+        for p in np.unique(path[idx]):
+            local = np.flatnonzero(path[idx] == p)
+            t, w = target[idx[local]], phase[idx[local]]
+            dest = np.unique(block_of[t])
+            if len(dest) != 1:
+                raise RegisterError(f"relabel path {p} splits a sector block")
+            dests[dest[0]][np.ix_(pos[t], pos[t])] += w[:, None] * block[np.ix_(local, local)] * w.conj()
+    for block in dests:
+        hermitize(block)
+    if rho.sectors is None:
+        return DensityOperator(rho.layout, out)
+    return DensityOperator.from_sectors(rho.layout, out)
 
 
 def _mirrored_tiles(mat: np.ndarray):

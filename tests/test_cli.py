@@ -829,3 +829,30 @@ class TestBlockedRun:
             tracemalloc.stop()
         assert peak / (16 * 4**10) <= 1.5
         assert tree_bytes(tmp_path / "run") == tree_bytes(tmp_path / "warm")
+
+    def test_no_step_of_an_n9_run_allocates_a_dense_state(self):
+        # The second pass runs with the plan caches full.  STAB, REMOVE and
+        # INJECT peaked at 4.1-4.3 dense states when they built the matrix.
+        config = parse_config_text(
+            "N = 9\nm0 = 4\ninitial = 010101010\nepsilon_diss = 0.02\n"
+            "schedule { SWEEP; D 1; U 0.25; QND 4; STAB 4; REMOVE 4; INJECT 4 }\n")
+        for _ in run_steps(config):
+            pass
+        peaks, forms = [], []
+        steps = run_steps(config)
+        tracemalloc.start()
+        try:
+            while True:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                try:
+                    _, rho = next(steps)
+                except StopIteration:
+                    break
+                peaks.append((tracemalloc.get_traced_memory()[1] - base) / (16 * 4**9))
+                forms.append(rho.sectors is not None)
+                del rho
+        finally:
+            tracemalloc.stop()
+        assert forms == [True] * 7
+        assert max(peaks) < 1.0, peaks

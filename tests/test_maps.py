@@ -5,6 +5,7 @@ import pytest
 from itertools import combinations
 from math import pi
 
+import spinmaps.maps as maps_module
 from spinmaps.channels import ChannelError, apply, choi, choi_distance, process_fidelity
 from spinmaps.maps import (
     DissipativeMapSpec,
@@ -290,6 +291,17 @@ class TestCompositeSweep:
         )
         expected = sum(k @ rho.matrix @ k.conj().T for k in dense)
         assert np.allclose(out.matrix, expected, atol=1e-12)
+
+    def test_repeated_single_maps_build_the_pair_channel_once(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(maps_module, "dissipative_kraus",
+                            lambda theta: built.append(theta) or dissipative_kraus(theta))
+        maps_module._cached_dissipative_map.cache_clear()
+        rho = basis_state(qubit_register(4), [1, 0, 1, 0]).density()
+        for site in (1, 2, 3, 1, 2):
+            rho = apply_dissipative_map(rho, DissipativeMapSpec(site, 0.9, 0.05))
+        composite_dissipative_sweep(rho, 0.9, 0.05)
+        assert built == [0.9]
 
 
 class TestCompositeMap:

@@ -316,11 +316,10 @@ from spinmaps.channels import park_kraus_ops, pump_kraus_ops  # noqa: E402
 from spinmaps.protocols import (  # noqa: E402
     _ANCILLA_PI,
     _DETECT_GATE,
-    _cascade_move,
     _cascade_sites,
     _swap_gate,
 )
-from spinmaps.register import embed_operator, excitation_numbers, kraus_superop  # noqa: E402
+from spinmaps.register import embed_operator, excitation_numbers  # noqa: E402
 
 
 def dense_half_round(mat, n, m0, removing):
@@ -363,7 +362,6 @@ class TestFoldedStabilizationGates:
 
 from spinmaps.cli import dump_state, load_state, parse_config_text, run_steps  # noqa: E402
 from spinmaps.protocols import stabilize_system  # noqa: E402
-from spinmaps.register import apply_local_superop  # noqa: E402
 
 
 def random_mixed(rng, d, rank):
@@ -380,8 +378,9 @@ def dense_system_half(sys_mat, m0, removing):
 
 
 class TestSystemStabilizationSteps:
-    """The REMOVE, INJECT and STAB steps of ``run_steps`` run on ancilla
-    blocks; they equal the dense register Kraus sums traced over the ancilla."""
+    """The REMOVE, INJECT and STAB steps of ``run_steps`` relabel the system
+    state's basis states; they equal the dense register Kraus sums traced
+    over the ancilla."""
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_run_steps_match_dense_oracle(self, n, tmp_path):
@@ -413,28 +412,28 @@ class TestSystemStabilizationSteps:
             stabilize_system(rho, 3, removing=False)
 
 
-class TestCascadeMove:
-    @pytest.mark.parametrize("n", [2, 3])
-    @pytest.mark.parametrize("park_level", [0, 1])
-    def test_equals_swap_then_park_on_ancilla_diagonal_states(self, n, park_level):
-        # kept level 1 - park_level and parking level 2 carry the state
-        rng = np.random.default_rng(90 + 2 * n + park_level)
-        d, keep = 2**n, 1 - park_level
-        dims = stabilization_register(n).ion_dims
-        swap = kraus_superop((_swap_gate(),))
-        park = kraus_superop(park_kraus_ops(park_level))
-        for site in range(1, n + 1):
-            kept, parked = (random_mixed(rng, d, 2) / 2 for _ in range(2))
-            mat = np.zeros((3 * d, 3 * d), dtype=complex)
-            mat[keep * d : (keep + 1) * d, keep * d : (keep + 1) * d] = kept
-            mat[2 * d :, 2 * d :] = parked
-            full = apply_local_superop(mat, swap, (0, site), dims)
-            full = apply_local_superop(full, park, (0,), dims)
-            _cascade_move(kept, parked, site, n, stay=keep)
-            moved = np.zeros_like(mat)
-            moved[keep * d : (keep + 1) * d, keep * d : (keep + 1) * d] = kept
-            moved[2 * d :, 2 * d :] = parked
-            assert np.max(np.abs(moved - full)) <= 1e-15
+class TestBlockedStabilization:
+    """``stabilize_system`` relabels the stored blocks of a sector-diagonal
+    state, so its output is blocked; it agrees with the dense register Kraus
+    sums, and beyond their reach with the qutrit-register half-round, whose
+    state is dense."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_both_halves_keep_random_blocked_states_blocked(self, blocked_and_dense, n):
+        rng = np.random.default_rng(110 + n)
+        for m0 in range(n + 1):
+            blocked, reference = blocked_and_dense(rng, n)
+            for removing in (True, False):
+                out = stabilize_system(blocked, m0, removing)
+                assert out.sectors is not None
+                if n <= 6:
+                    expected = dense_system_half(reference, m0, removing)
+                else:
+                    half = stabilize_remove if removing else stabilize_inject
+                    register = half(with_ancilla(reference), m0)
+                    assert register.sectors is None
+                    expected = system_of(register).matrix
+                assert np.max(np.abs(out.matrix - expected)) <= 1e-12
 
 
 class TestInputsAreNotWritten:

@@ -987,3 +987,50 @@ class TestOneRuleForTheForm:
             if producer not in ("equal", "cross-sector", "qutrit", "dicke_mixture"):
                 assert {(producer, True), (producer, False)} <= forms, producer
         assert ("dicke_mixture", False) in forms
+
+
+from spinmaps.register import relabel  # noqa: E402
+
+
+def kraus_path_sum(mat, path, target, phase):
+    """``sum_p K_p mat K_p^dag`` with ``K_p = sum_{path_i = p} phase_i |target_i><i|``."""
+    out = np.zeros_like(mat)
+    for p in np.unique(path):
+        k = np.zeros_like(mat)
+        (i,) = np.nonzero(path == p)
+        k[target[i], i] = phase[i]
+        out += k @ mat @ k.conj().T
+    return out
+
+
+class TestRelabel:
+    """``relabel`` is the channel of Kraus operators that each send a basis
+    state to one basis state times a phase, on either stored form."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_both_forms_match_the_kraus_sum(self, blocked_and_dense, n):
+        rng = np.random.default_rng(130 + n)
+        d = 2**n
+        path = rng.integers(0, 3, d)
+        phase = np.exp(2j * np.pi * rng.random(d))
+        blocked, reference = blocked_and_dense(rng, n)
+        dense_mat = 0.5 * reference + 0.5 / d  # every entry nonzero
+        dense = DensityOperator(qubit_register(n), dense_mat)
+        assert dense.sectors is None
+        # a permutation for the dense state; the bit complement, which takes
+        # sector k into sector n - k, for the blocked one
+        for rho, mat, target in ((dense, dense_mat, rng.permutation(d)),
+                                 (blocked, reference, np.arange(d) ^ (d - 1))):
+            before = rho.matrix.copy()
+            out = relabel(rho, path, target, phase)
+            assert (out.sectors is None) == (rho.sectors is None)
+            assert np.max(np.abs(out.matrix - kraus_path_sum(mat, path, target, phase))) <= 1e-12
+            assert np.array_equal(rho.matrix, before)
+
+    def test_a_path_that_splits_a_sector_block_raises(self, blocked_and_dense):
+        blocked, _ = blocked_and_dense(np.random.default_rng(7), 3)
+        identity, ones = np.arange(8), np.ones(8)
+        with pytest.raises(RegisterError, match="splits a sector block"):
+            relabel(blocked, np.zeros(8, dtype=int), np.roll(identity, 1), ones)
+        with pytest.raises(RegisterError, match="per basis state of dim 8"):
+            relabel(blocked, np.zeros(4, dtype=int), identity, ones)
