@@ -17,7 +17,6 @@ import numpy as np
 
 from .register import (
     DensityOperator,
-    PureState,
     RegisterLayout,
     apply_local,
     check_sites,
@@ -25,6 +24,7 @@ from .register import (
     kraus_superop,
     kron_product,
     qubit_operator,
+    sector_views,
 )
 
 COMPLETENESS_TOL = 1e-10
@@ -116,10 +116,6 @@ def apply_embedded(
 
 def unitary_channel(layout: RegisterLayout, u: np.ndarray, label: str = "") -> Channel:
     return Channel(layout, (np.asarray(u, dtype=complex),), label or "unitary")
-
-
-def identity_channel(layout: RegisterLayout) -> Channel:
-    return unitary_channel(layout, np.eye(layout.dim), "identity")
 
 
 def mix(channels: list[Channel], weights: list[float]) -> Channel:
@@ -297,9 +293,14 @@ def choi_distance(a: ChoiMatrix, b: ChoiMatrix) -> float:
 
 
 def trace_distance(rho1: DensityOperator, rho2: DensityOperator) -> float:
-    """(1/2) || rho1 - rho2 ||_1."""
-    diff = rho1.matrix - rho2.matrix
-    vals = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))
+    """(1/2) || rho1 - rho2 ||_1.  Of two blocked states it is the sum over the
+    sector blocks of their difference, which is block-diagonal, so no dense
+    matrix is built; any other pair is compared densely."""
+    if rho1.sectors is not None and rho2.sectors is not None:
+        blocks = sector_views(rho1.sectors - rho2.sectors, rho1.layout.n_ions)
+    else:
+        blocks = [rho1.matrix - rho2.matrix]
+    vals = np.concatenate([np.linalg.eigvalsh(0.5 * (b + b.conj().T)) for b in blocks])
     return 0.5 * float(np.sum(np.abs(vals)))
 
 
@@ -313,29 +314,3 @@ def mean_state_fidelity(
     for rho in input_set:
         total += uhlmann_fidelity(apply(channel, rho), apply(reference_channel, rho))
     return total / len(input_set)
-
-
-def pauli_eigenstate_products(layout: RegisterLayout) -> list[DensityOperator]:
-    """All products of single-qubit X/Y/Z eigenstates (6^n states).
-
-    For two qubits this is the 36-state probe ensemble used to quote mean
-    state fidelities of noisy maps.
-    """
-    if any(d != 2 for d in layout.ion_dims):
-        raise ChannelError("Pauli eigenstates defined for qubit registers")
-    s = np.sqrt(0.5)
-    single = [
-        np.array([1, 0], dtype=complex),        # z-down
-        np.array([0, 1], dtype=complex),        # z-up
-        np.array([s, s], dtype=complex),        # x+
-        np.array([s, -s], dtype=complex),       # x-
-        np.array([s, 1j * s], dtype=complex),   # y+
-        np.array([s, -1j * s], dtype=complex),  # y-
-    ]
-    states = []
-    for combo in product(single, repeat=layout.n_ions):
-        vec = np.array([1.0], dtype=complex)
-        for factor in combo:
-            vec = np.kron(vec, factor)
-        states.append(PureState(layout, vec).density())
-    return states

@@ -122,11 +122,6 @@ def qnd_unitary(m0: int, n: int) -> np.ndarray:
     return u
 
 
-def qnd_register(n: int) -> RegisterLayout:
-    """Qubit ancilla at index 0 followed by N system spins."""
-    return system_with_ancilla(n, ancilla_dim=2)
-
-
 def stabilization_register(n: int) -> RegisterLayout:
     """Qutrit ancilla at index 0 followed by N system spins."""
     return system_with_ancilla(n)
@@ -155,22 +150,6 @@ def postselect(rho: DensityOperator, m0: int) -> tuple[DensityOperator | None, f
 
 # --- stabilization internals -------------------------------------------------
 
-# The detector's exp(-i pi/2 X) on the qubit block of the qutrit ancilla, the
-# pi pulse and the swap as gates; the half-round applies them as relabellings,
-# and the tests' dense Kraus-sum oracle applies these matrices.
-_DETECT_GATE = np.array([[0, -1j, 0], [-1j, 0, 0], [0, 0, 1]], dtype=complex)
-_ANCILLA_PI = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
-
-
-def _swap_gate() -> np.ndarray:
-    """Flip-flop pi-pulse on (qutrit ancilla, qubit site):
-    |0,1> <-> -i |1,0>, everything else fixed."""
-    u = np.eye(6, dtype=complex)
-    u[1, 1] = u[2, 2] = 0.0
-    u[2, 1] = u[1, 2] = -1j
-    return u
-
-
 def _cascade_sites(n: int, m0: int, removing: bool) -> list[int]:
     """Swap-cascade site order: 1, 2, ..., N-1, extended to N only in the
     edge cases (removal with m0 = 0, injection with m0 = N) where the last
@@ -181,11 +160,16 @@ def _cascade_sites(n: int, m0: int, removing: bool) -> list[int]:
     return sites
 
 
+_PATHS: dict[tuple[int, int, bool], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
 def _kraus_paths(n: int, m0: int, removing: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(path, target, phase)`` of a half-round for every register basis state
     ``|a, s>`` (index ``a * 2**n + s``): it goes to ``phase |1, target>`` along
     the Kraus path numbered ``path``, the base-3 digits of the ancilla level
-    at each park and at the pump."""
+    at each park and at the pump.  Cached per ``(n, m0, removing)``, read-only."""
+    if (n, m0, removing) in _PATHS:
+        return _PATHS[n, m0, removing]
     if not 0 <= m0 <= n:
         raise RegisterError(f"m0 {m0} out of range for N={n}")
     d = 2**n
@@ -206,7 +190,10 @@ def _kraus_paths(n: int, m0: int, removing: bool) -> tuple[np.ndarray, np.ndarra
         path = 3 * path + level
         level[level == parking] = 2
     path = 3 * path + level  # the pump |1><a|
-    return path, bits @ (1 << np.arange(n - 1, -1, -1)), phase
+    paths = (path, bits @ (1 << np.arange(n - 1, -1, -1)), phase)
+    for a in paths:
+        a.flags.writeable = False
+    return _PATHS.setdefault((n, m0, removing), paths)
 
 
 def _half_round(rho: DensityOperator, m0: int, removing: bool) -> DensityOperator:

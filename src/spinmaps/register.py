@@ -14,7 +14,8 @@ Conventions used throughout the package:
   it; identity factors keep ``|2>`` untouched.
 * :func:`embed_operator` is the one embedder of a local operator into the
   register and :func:`apply_local` the one local apply of a state, which
-  picks the kernel for its form.  :func:`apply_local_superop` is the dense
+  picks the kernel for its form; :func:`local_sum` adds a sum of local
+  generators on the same form.  :func:`apply_local_superop` is the dense
   kernel: it works tile by tile through a transposed view of the state,
   never permuting it, and may write into its input.
   :func:`hermitize` is ``(m + m^dag) / 2`` in place, also by tiles.
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import zpotrf
@@ -431,44 +432,6 @@ class PauliString:
     def ions(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.factors)
 
-    def axis_on(self, ion: int) -> str | None:
-        for i, ax in self.factors:
-            if i == ion:
-                return ax
-        return None
-
-
-def multiply(a: PauliString, b: PauliString) -> PauliString:
-    """Symbolic product ``a . b`` (operator composition, a applied after b).
-
-    The single-qubit algebra over the supported axes is closed up to complex
-    scalars; identity factors drop out and an exactly vanishing product is
-    returned as the empty string with coefficient 0.
-    """
-    coeff = complex(a.coefficient) * complex(b.coefficient)
-    factors: list[tuple[int, str]] = []
-    for ion in sorted(set(a.ions()) | set(b.ions())):
-        ax_a, ax_b = a.axis_on(ion), b.axis_on(ion)
-        if ax_b is None:
-            factors.append((ion, ax_a))
-            continue
-        if ax_a is None:
-            factors.append((ion, ax_b))
-            continue
-        prod = _SIGMA[ax_a] @ _SIGMA[ax_b]
-        if np.allclose(prod, 0):
-            return PauliString((), 0.0)
-        for name, mat in _SIGMA.items():
-            scale = prod[np.abs(mat) > 0.5] / mat[np.abs(mat) > 0.5] if np.any(np.abs(mat) > 0.5) else []
-            if len(scale) and np.allclose(prod, scale[0] * mat):
-                coeff *= scale[0]
-                if name != "i":
-                    factors.append((ion, name))
-                break
-        else:  # pragma: no cover - algebra is closed
-            raise RegisterError("product left the Pauli axis algebra")
-    return PauliString(tuple(factors), coeff)
-
 
 def basis_state(layout: RegisterLayout, occupation: Sequence[int]) -> PureState:
     """Computational product state with the given per-ion levels."""
@@ -619,23 +582,39 @@ def _sector_plan(n: int, sites: tuple[int, ...]) -> tuple[tuple[list[int], np.nd
     return tuple(plan)
 
 
-def apply_sector_superop(
-    flat: np.ndarray, superop: np.ndarray, sites: Sequence[int], n: int
-) -> np.ndarray:
-    """Apply a row-major superoperator supported on qubit ``sites`` to the flat
-    sector buffer of an n-qubit state, in place, one local charge ``c`` at a
-    time: ``flat[idx_c] = S_c @ flat[idx_c]`` over the :func:`_sector_plan`
-    gather.  Raises :class:`RegisterError` if an entry of ``superop`` moves
-    charge, since the buffer holds no entry for it to move to or from."""
-    sites = tuple(sites)
+def _charge_blocks(
+    superop: np.ndarray, sites: tuple[int, ...], n: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(S_c, idx_c)`` per local charge ``c`` of the :func:`_sector_plan` on
+    qubit ``sites`` of n: the charge block of the row-major ``superop`` and the
+    flat-buffer positions it acts on.  Raises :class:`RegisterError` if
+    ``superop`` does not fit ``sites`` or moves charge, since the buffer holds
+    no entry for it to move to or from."""
     plan = _sector_plan(n, sites)
     if superop.shape != (4 ** len(sites),) * 2:
         raise RegisterError(f"superoperator shape {superop.shape} does not fit sites {sites}")
     if np.any(superop[_charge_moving(len(sites))]):
         raise RegisterError(f"superoperator on sites {sites} moves excitation charge")
-    for rows, idx in plan:
-        flat[idx] = superop[np.ix_(rows, rows)] @ flat[idx]
+    return [(superop[np.ix_(rows, rows)], idx) for rows, idx in plan]
+
+
+def apply_sector_superop(
+    flat: np.ndarray, superop: np.ndarray, sites: Sequence[int], n: int
+) -> np.ndarray:
+    """Apply a row-major superoperator supported on qubit ``sites`` to the flat
+    sector buffer of an n-qubit state, in place, one local charge ``c`` at a
+    time: ``flat[idx_c] = S_c @ flat[idx_c]`` over :func:`_charge_blocks`."""
+    for block, idx in _charge_blocks(superop, tuple(sites), n):
+        flat[idx] = block @ flat[idx]
     return flat
+
+
+def _sector_form(rho: DensityOperator, superop: np.ndarray) -> bool:
+    """True when ``rho`` is blocked and ``superop`` is a qubit superoperator
+    that moves no charge, so that the sector kernel applies it exactly."""
+    k = (len(superop).bit_length() - 1) // 2  # a k-qubit superoperator is 4**k square
+    return rho.sectors is not None and superop.shape == (4**k, 4**k) and not np.any(
+        superop[_charge_moving(k)])
 
 
 def apply_local(
@@ -647,8 +626,7 @@ def apply_local(
     that moves no charge takes :func:`apply_sector_superop` and stays blocked;
     any other takes the tiled :func:`apply_local_superop`."""
     n, dims = rho.layout.n_ions, rho.layout.ion_dims
-    k = (len(superop).bit_length() - 1) // 2  # a k-qubit superoperator is 4**k square
-    if rho.sectors is not None and superop.shape == (4**k, 4**k) and not np.any(superop[_charge_moving(k)]):
+    if _sector_form(rho, superop):
         flat = rho.sectors.copy()
         for sites in placements:
             apply_sector_superop(flat, superop, sites, n)
@@ -659,6 +637,35 @@ def apply_local(
     for sites in placements:
         apply_local_superop(mat, superop, sites, dims, out=mat)
     return DensityOperator(rho.layout, hermitize(mat))
+
+
+def local_sum(
+    rho: DensityOperator, superop: np.ndarray, placements: Iterable[Sequence[int]]
+) -> tuple[np.ndarray, Callable[[np.ndarray, np.ndarray], None]]:
+    """The sum over the sites tuples of ``placements`` of a row-major local
+    superoperator, such as a bond generator, on the form :func:`apply_local`
+    picks for ``rho``.  Returns ``(start, add)``: ``start`` is ``rho`` in that
+    form (its sector buffer or its matrix; never to be written) and
+    ``add(y, acc)`` adds the sum applied to ``y`` into ``acc``, both arrays of
+    that form.  On the sector buffer each term is ``acc[idx_c] += S_c @ y[idx_c]``
+    over :func:`_charge_blocks`, which are taken once, here; on a matrix each
+    is an output of the tiled :func:`apply_local_superop`."""
+    n, dims = rho.layout.n_ions, rho.layout.ion_dims
+    placements = [tuple(sites) for sites in placements]
+    if _sector_form(rho, superop):
+        terms = [term for sites in placements for term in _charge_blocks(superop, sites, n)]
+
+        def add(y: np.ndarray, acc: np.ndarray) -> None:
+            for block, idx in terms:
+                acc[idx] += block @ y[idx]
+
+        return rho.sectors, add
+
+    def add(y: np.ndarray, acc: np.ndarray) -> None:
+        for sites in placements:
+            acc += apply_local_superop(y, superop, sites, dims)
+
+    return rho.matrix, add
 
 
 def relabel(
@@ -719,7 +726,8 @@ def hermitize(mat: np.ndarray) -> np.ndarray:
 def _hermiticity_residual(mat: np.ndarray) -> float:
     """``max |mat - mat^dag|`` of the square ``mat``, one mirrored pair of tiles
     at a time (``|L - U^dag|`` mirrors ``|U - L^dag|``); NaN if any entry is."""
-    tiles = [np.max(np.abs(u - l.conj().T)) for u, l in _mirrored_tiles(mat)]
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, and NaN fails the check
+        tiles = [np.max(np.abs(u - l.conj().T)) for u, l in _mirrored_tiles(mat)]
     return np.max(tiles) if tiles else 0.0
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from itertools import product
 from math import pi
 
 from spinmaps.channels import (
@@ -11,12 +12,10 @@ from spinmaps.channels import (
     choi_distance,
     compose,
     depolarizing_channel,
-    identity_channel,
     mean_state_fidelity,
     mix,
     park_channel,
     park_from,
-    pauli_eigenstate_products,
     process_fidelity,
     reset_ancilla,
     reset_channel,
@@ -27,11 +26,40 @@ from spinmaps.channels import (
 from spinmaps.maps import DissipativeMapSpec, elementary_dissipative_map
 from spinmaps.register import (
     DensityOperator,
+    PureState,
     RegisterLayout,
     basis_state,
     qubit_register,
     system_with_ancilla,
 )
+
+
+def identity_channel(layout):
+    return unitary_channel(layout, np.eye(layout.dim), "identity")
+
+
+def pauli_eigenstate_products(layout):
+    """All products of single-qubit X/Y/Z eigenstates (6^n states).
+
+    For two qubits this is the 36-state probe ensemble used to quote mean
+    state fidelities of noisy maps.
+    """
+    s = np.sqrt(0.5)
+    single = [
+        np.array([1, 0], dtype=complex),        # z-down
+        np.array([0, 1], dtype=complex),        # z-up
+        np.array([s, s], dtype=complex),        # x+
+        np.array([s, -s], dtype=complex),       # x-
+        np.array([s, 1j * s], dtype=complex),   # y+
+        np.array([s, -1j * s], dtype=complex),  # y-
+    ]
+    states = []
+    for combo in product(single, repeat=layout.n_ions):
+        vec = np.array([1.0], dtype=complex)
+        for factor in combo:
+            vec = np.kron(vec, factor)
+        states.append(PureState(layout, vec).density())
+    return states
 
 
 def dm(vec):

@@ -144,8 +144,9 @@ class TestStroboscopicComparison:
             cont = integrate(cont, spec, 1.0, dt)[-1]
             expected = max(expected, trace_distance(strobe, cont))
         built = []
-        monkeypatch.setattr(
-            lindblad, "DensityOperator", lambda *a: built.append(a) or DensityOperator(*a))
+        hook = lambda *a: built.append(a) or DensityOperator(*a)  # noqa: E731
+        hook.from_sectors = lambda *a: built.append(a) or DensityOperator.from_sectors(*a)
+        monkeypatch.setattr(lindblad, "DensityOperator", hook)
         assert compare_stroboscopic(rho0, theta, phi, n_steps) == expected
         assert len(built) == n_steps
 
@@ -174,3 +175,96 @@ class TestEffectiveHamiltonianForm:
         deriv = liouvillian_apply(rho, MasterEqSpec(n, u=u, kappa=kappa))
         expected = dense_liouvillian(rho.matrix, n, u, kappa)
         assert np.max(np.abs(deriv - expected)) <= 1e-12
+
+
+import tracemalloc  # noqa: E402
+
+from spinmaps.register import PureState, hermitize  # noqa: E402
+
+
+def dense_rk4(mat, n, u, kappa, dt, steps):
+    """The matrices after each RK4 step on the dense reference Liouvillian,
+    re-Hermitized and renormalized as :func:`integrate` does."""
+    out = []
+    for _ in range(steps):
+        k1 = dense_liouvillian(mat, n, u, kappa)
+        k2 = dense_liouvillian(mat + 0.5 * dt * k1, n, u, kappa)
+        k3 = dense_liouvillian(mat + 0.5 * dt * k2, n, u, kappa)
+        k4 = dense_liouvillian(mat + dt * k3, n, u, kappa)
+        mat = hermitize(mat + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+        mat = mat / np.trace(mat).real
+        out.append(mat)
+    return out
+
+
+def cross_sector(rho, n):
+    """Half ``rho`` plus half the equal superposition: dense, every entry nonzero."""
+    equal = PureState(qubit_register(n), np.full(2**n, 2 ** (-n / 2))).density()
+    return DensityOperator(qubit_register(n), 0.5 * rho.matrix + 0.5 * equal.matrix)
+
+
+class TestStoredFormRK4:
+    """The RK4 runs on the stored form: the sector blocks of a blocked state,
+    the matrix of a dense one; both equal a dense RK4 on the reference Liouvillian."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("blocked", [True, False])
+    def test_matches_a_dense_rk4(self, blocked_and_dense, n, blocked):
+        rho, reference = blocked_and_dense(np.random.default_rng(200 + n), n)
+        if not blocked:
+            rho = cross_sector(rho, n)
+            reference = rho.matrix.copy()
+        before = rho.matrix.copy()
+        u, kappa, dt, steps = 0.7, 0.3, 0.05, 4
+        traj = integrate(rho, MasterEqSpec(n, u=u, kappa=kappa), dt * steps, dt)
+        assert len(traj) == steps + 1 and traj[0] is rho
+        for state, expected in zip(traj[1:], dense_rk4(reference, n, u, kappa, dt, steps)):
+            assert (state.sectors is not None) == blocked
+            assert np.max(np.abs(state.matrix - expected)) <= 1e-12
+        assert np.array_equal(rho.matrix, before)
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_liouvillian_of_a_blocked_state_is_dense(self, blocked_and_dense, n):
+        rho, reference = blocked_and_dense(np.random.default_rng(210 + n), n)
+        deriv = liouvillian_apply(rho, MasterEqSpec(n, u=0.7, kappa=1.3))
+        assert deriv.shape == (2**n, 2**n)
+        assert np.max(np.abs(deriv - dense_liouvillian(reference, n, 0.7, 1.3))) <= 1e-12
+
+    def test_one_blocked_step_at_n9_stays_below_one_and_a_quarter_dense_states(self):
+        # The dense RK4 it replaces peaked at 7.0 dense states.
+        n = 9
+        rho = basis_state(qubit_register(n), [0, 1] * 4 + [1]).density()
+        spec = MasterEqSpec(n, u=0.7, kappa=0.3)
+        integrate(rho, spec, 0.05, 0.05)  # warm the plan caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = integrate(rho, spec, 0.05, 0.05)[-1]
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.sectors is not None
+        assert peak / (16 * 4**n) < 1.25
+
+    def test_blocked_comparison_never_builds_the_matrix(self, monkeypatch):
+        rho = basis_state(qubit_register(5), [1, 0, 1, 1, 0]).density()
+        expected = compare_stroboscopic(rho, 0.2, 0.04, 3)
+
+        def no_matrix(self):
+            raise AssertionError("the dense matrix was built")
+
+        monkeypatch.setattr(DensityOperator, "matrix", property(no_matrix))
+        assert compare_stroboscopic(rho, 0.2, 0.04, 3) == expected
+
+
+class TestBlockedTraceDistance:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_the_dense_formula(self, blocked_and_dense, n):
+        rng = np.random.default_rng(220 + n)
+        (a, ref_a), (b, ref_b) = blocked_and_dense(rng, n), blocked_and_dense(rng, n)
+        expected = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(ref_a - ref_b)))
+        assert abs(trace_distance(a, b) - expected) <= 1e-12
+        assert trace_distance(a, a) == 0.0
+        dense = cross_sector(b, n)
+        mixed = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(ref_a - dense.matrix)))
+        assert abs(trace_distance(a, dense) - mixed) <= 1e-12

@@ -8,7 +8,6 @@ from spinmaps.protocols import (
     SubspaceProjector,
     build_projector,
     postselect,
-    qnd_register,
     qnd_unitary,
     stabilization_register,
     stabilize,
@@ -21,8 +20,14 @@ from spinmaps.register import (
     basis_state,
     partial_trace,
     qubit_register,
+    system_with_ancilla,
 )
 from spinmaps.observables import dicke_state
+
+
+def qnd_register(n):
+    """Qubit ancilla at index 0 followed by N system spins."""
+    return system_with_ancilla(n, ancilla_dim=2)
 
 
 def dm(vec):
@@ -313,13 +318,22 @@ class TestStabilizeIsRemoveThenInject:
 
 
 from spinmaps.channels import park_kraus_ops, pump_kraus_ops  # noqa: E402
-from spinmaps.protocols import (  # noqa: E402
-    _ANCILLA_PI,
-    _DETECT_GATE,
-    _cascade_sites,
-    _swap_gate,
-)
+from spinmaps.protocols import _cascade_sites, _kraus_paths  # noqa: E402
 from spinmaps.register import embed_operator, excitation_numbers  # noqa: E402
+
+# The detector's exp(-i pi/2 X) on the qubit block of the qutrit ancilla and
+# the pi pulse; the half-round applies them, and the swap, as relabellings.
+_DETECT_GATE = np.array([[0, -1j, 0], [-1j, 0, 0], [0, 0, 1]], dtype=complex)
+_ANCILLA_PI = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
+
+
+def _swap_gate():
+    """Flip-flop pi-pulse on (qutrit ancilla, qubit site):
+    |0,1> <-> -i |1,0>, everything else fixed."""
+    u = np.eye(6, dtype=complex)
+    u[1, 1] = u[2, 2] = 0.0
+    u[2, 1] = u[1, 2] = -1j
+    return u
 
 
 def dense_half_round(mat, n, m0, removing):
@@ -358,6 +372,17 @@ class TestFoldedStabilizationGates:
             rho = DensityOperator(stabilization_register(n), mat / np.trace(mat).real)
             expected = dense_half_round(rho.matrix, n, m0, removing)
             assert np.max(np.abs(half(rho, m0).matrix - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("removing", [True, False])
+    def test_kraus_paths_are_cached_read_only(self, removing):
+        first = _kraus_paths(4, 2, removing)
+        again = _kraus_paths(4, 2, removing)
+        assert all(a is b for a, b in zip(first, again))
+        assert not any(a.flags.writeable for a in first)
+        assert _kraus_paths(4, 1, removing)[0] is not first[0]
+        for _ in range(2):
+            with pytest.raises(RegisterError, match="m0 5 out of range for N=4"):
+                _kraus_paths(4, 5, removing)
 
 
 from spinmaps.cli import dump_state, load_state, parse_config_text, run_steps  # noqa: E402

@@ -15,7 +15,6 @@ from spinmaps.register import (
     expectation,
     kraus_superop,
     lift_qubit_operator,
-    multiply,
     partial_trace,
     qubit_operator,
     qubit_register,
@@ -27,6 +26,39 @@ from spinmaps.observables import dicke_state
 def ket(*amps):
     v = np.array(amps, dtype=complex)
     return v / np.linalg.norm(v)
+
+
+AXES = ("i", "x", "y", "z", "+", "-", "up", "down")
+
+
+def multiply(a, b):
+    """Symbolic product ``a . b`` (operator composition, a applied after b).
+
+    The single-qubit algebra over the supported axes is closed up to complex
+    scalars; identity factors drop out and an exactly vanishing product is
+    returned as the empty string with coefficient 0.
+    """
+    coeff = complex(a.coefficient) * complex(b.coefficient)
+    factors = []
+    on_a, on_b = dict(a.factors), dict(b.factors)
+    for ion in sorted(set(on_a) | set(on_b)):
+        if ion not in on_a or ion not in on_b:
+            factors.append((ion, on_a.get(ion, on_b.get(ion))))
+            continue
+        prod = qubit_operator(on_a[ion]) @ qubit_operator(on_b[ion])
+        if np.allclose(prod, 0):
+            return PauliString((), 0.0)
+        for name in AXES:
+            mat = qubit_operator(name)
+            scale = prod[np.abs(mat) > 0.5] / mat[np.abs(mat) > 0.5]
+            if np.allclose(prod, scale[0] * mat):
+                coeff *= scale[0]
+                if name != "i":
+                    factors.append((ion, name))
+                break
+        else:
+            raise AssertionError("product left the Pauli axis algebra")
+    return PauliString(tuple(factors), coeff)
 
 
 class TestLayout:
