@@ -648,12 +648,6 @@ MAX_TABLE_IONS = 12
 MAX_RESET_TABLE_ENTRIES = 2**26
 
 
-def _z_phases(angles: np.ndarray) -> np.ndarray:
-    """Diagonal of the per-qubit z frame prod_i exp(-i a_i/2 sigma^z_i), ion 0
-    most significant."""
-    return np.exp(0.5j * (1 - 2 * basis_bits(len(angles))) @ angles)
-
-
 def _permute_ions(u: np.ndarray, perm) -> np.ndarray:
     """``P u P^T`` for the qubit basis permutation P sending ion i to slot perm[i]."""
     n, axes = len(perm), list(np.argsort(perm))
@@ -666,11 +660,21 @@ def _frame_objective(ideal, candidate, n_ions: int):
     M[a, b] = sum_ij conj(T_a)_ij w_ij (K_b)_ij and w = z_out (x) z_in.
     This is the Uhlmann fidelity of the two Choi states, F(X X^dag, Y Y^dag) =
     ||X^dag Y||_*^2 (Jozsa 1994), so no Choi matrix is built; for one operator
-    on each side it is |z_out . (conj(T) * K) . z_in|^2 / d^2."""
+    on each side it is |z_out . (conj(T) * K) . z_in|^2 / d^2.
+
+    The phase table and the half-swap index are built once per fit, here, so
+    one evaluation is a gather, a matmul and a norm: w = exp(phase @ x[order])
+    is the diagonal of prod_i exp(-i a_i/2 sigma^z_i) over the angles (out, in),
+    ion 0 most significant.  A 1x1 M is scored by its modulus."""
     ideal, candidate = np.asarray(ideal), np.asarray(candidate)
     d = ideal.shape[-1]
     form = (ideal.conj()[:, None] * candidate[None]).reshape(len(ideal), len(candidate), d * d)
-    return lambda x: (np.linalg.svd(form @ _z_phases(np.roll(x, n_ions)),
+    phase = 0.5j * (1 - 2 * basis_bits(2 * n_ions))
+    order = np.roll(np.arange(2 * n_ions), n_ions)
+    if form.shape[:2] == (1, 1):
+        row = form[0, 0]
+        return lambda x: (abs(row @ np.exp(phase @ x[order])) / d) ** 2
+    return lambda x: (np.linalg.svd(form @ np.exp(phase @ x[order]),
                                     compute_uv=False).sum() / d) ** 2
 
 
@@ -713,10 +717,6 @@ def _verify_unitary(seq: PulseSequence, target: np.ndarray, label: str) -> dict:
     return {"target": label, "fidelity": fidelity, "ion_permutation": perm}
 
 
-def _verify_swap(seq: PulseSequence) -> dict:
-    return _verify_unitary(seq, _flip_flop_target(), "flip-flop swap on (ancilla, site 1)")
-
-
 def _reduced_channel(
     u: np.ndarray, ancilla: int, prep: int, pair_order: tuple[int, int]
 ) -> Channel:
@@ -749,7 +749,9 @@ def _verify_single_map(seq: PulseSequence) -> dict:
 
 
 _TARGET_CHECKS = {
-    "swap": _verify_swap,
+    "swap": partial(
+        _verify_unitary, target=_flip_flop_target(), label="flip-flop swap on (ancilla, site 1)"
+    ),
     "hamiltonian_3spin": partial(
         _verify_unitary,
         target=hamiltonian_map(HamiltonianMapSpec(pi / 2), 3).kraus_ops[0],

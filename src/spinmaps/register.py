@@ -40,7 +40,10 @@ Conventions used throughout the package:
   ``(R, C)`` are all stored or all zero, and the apply is exact on the
   stored ones: per charge, one gather of them, one product with the
   superoperator's charge block (sizes 1, 4, 6, 4, 1 on a pair) and one
-  scatter, over a plan of flat positions cached per ``(N, sites)``.
+  scatter, over a plan of flat positions cached per ``(N, sites)``.  The
+  charge blocks depend on the superoperator and the number of sites only,
+  so :func:`apply_local` and :func:`local_sum` take them once per call for
+  all their placements (:func:`_charge_blocks`).
 """
 
 from __future__ import annotations
@@ -583,19 +586,25 @@ def _sector_plan(n: int, sites: tuple[int, ...]) -> tuple[tuple[list[int], np.nd
 
 
 def _charge_blocks(
-    superop: np.ndarray, sites: tuple[int, ...], n: int
+    superop: np.ndarray, placements: Iterable[Sequence[int]], n: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``(S_c, idx_c)`` per local charge ``c`` of the :func:`_sector_plan` on
-    qubit ``sites`` of n: the charge block of the row-major ``superop`` and the
-    flat-buffer positions it acts on.  Raises :class:`RegisterError` if
-    ``superop`` does not fit ``sites`` or moves charge, since the buffer holds
-    no entry for it to move to or from."""
-    plan = _sector_plan(n, sites)
-    if superop.shape != (4 ** len(sites),) * 2:
-        raise RegisterError(f"superoperator shape {superop.shape} does not fit sites {sites}")
-    if np.any(superop[_charge_moving(len(sites))]):
-        raise RegisterError(f"superoperator on sites {sites} moves excitation charge")
-    return [(superop[np.ix_(rows, rows)], idx) for rows, idx in plan]
+    """``(S_c, idx_c)`` per local charge ``c`` of the :func:`_sector_plan` of each
+    qubit sites tuple of ``placements`` of n, in order: the charge block
+    ``superop[np.ix_(rows_c, rows_c)]`` of the row-major ``superop`` and the
+    flat-buffer positions it acts on.  A plan's rows depend on n and the number
+    of sites only, so each block is taken once, from the first plan, and shared
+    by every placement.  Raises :class:`RegisterError` if ``superop`` does not
+    fit a placement; whether it moves charge is the caller's check."""
+    terms, blocks = [], None
+    for sites in placements:
+        sites = tuple(sites)
+        plan = _sector_plan(n, sites)
+        if superop.shape != (4 ** len(sites),) * 2:
+            raise RegisterError(f"superoperator shape {superop.shape} does not fit sites {sites}")
+        if blocks is None:
+            blocks = [superop[np.ix_(rows, rows)] for rows, _ in plan]
+        terms += [(block, idx) for block, (_, idx) in zip(blocks, plan)]
+    return terms
 
 
 def apply_sector_superop(
@@ -603,8 +612,13 @@ def apply_sector_superop(
 ) -> np.ndarray:
     """Apply a row-major superoperator supported on qubit ``sites`` to the flat
     sector buffer of an n-qubit state, in place, one local charge ``c`` at a
-    time: ``flat[idx_c] = S_c @ flat[idx_c]`` over :func:`_charge_blocks`."""
-    for block, idx in _charge_blocks(superop, tuple(sites), n):
+    time: ``flat[idx_c] = S_c @ flat[idx_c]`` over :func:`_charge_blocks`.
+    Raises :class:`RegisterError` if ``superop`` moves charge, since the buffer
+    holds no entry for it to move to or from."""
+    terms = _charge_blocks(superop, [sites], n)
+    if np.any(superop[_charge_moving(len(sites))]):
+        raise RegisterError(f"superoperator on sites {tuple(sites)} moves excitation charge")
+    for block, idx in terms:
         flat[idx] = block @ flat[idx]
     return flat
 
@@ -623,13 +637,14 @@ def apply_local(
     """Apply a row-major local superoperator at each sites tuple of ``placements``
     in order, in place on one copy of ``rho``'s stored form, then re-Hermitize
     it and return it validated.  A blocked state under a qubit superoperator
-    that moves no charge takes :func:`apply_sector_superop` and stays blocked;
-    any other takes the tiled :func:`apply_local_superop`."""
+    that moves no charge takes the sector kernel of :func:`apply_sector_superop`
+    over the :func:`_charge_blocks` of all placements and stays blocked; any
+    other takes the tiled :func:`apply_local_superop`."""
     n, dims = rho.layout.n_ions, rho.layout.ion_dims
     if _sector_form(rho, superop):
         flat = rho.sectors.copy()
-        for sites in placements:
-            apply_sector_superop(flat, superop, sites, n)
+        for block, idx in _charge_blocks(superop, placements, n):
+            flat[idx] = block @ flat[idx]
         for block in sector_views(flat, n):
             hermitize(block)
         return DensityOperator.from_sectors(rho.layout, flat)
@@ -653,7 +668,7 @@ def local_sum(
     n, dims = rho.layout.n_ions, rho.layout.ion_dims
     placements = [tuple(sites) for sites in placements]
     if _sector_form(rho, superop):
-        terms = [term for sites in placements for term in _charge_blocks(superop, sites, n)]
+        terms = _charge_blocks(superop, placements, n)
 
         def add(y: np.ndarray, acc: np.ndarray) -> None:
             for block, idx in terms:

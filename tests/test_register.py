@@ -783,7 +783,8 @@ import tracemalloc  # noqa: E402
 from math import comb  # noqa: E402
 
 from spinmaps.maps import elementary_hamiltonian_map  # noqa: E402
-from spinmaps.register import apply_sector_superop, sector_buffer, sector_views  # noqa: E402
+from spinmaps.register import (  # noqa: E402
+    apply_local, apply_sector_superop, local_sum, sector_buffer, sector_views)
 
 
 def dense_of(flat, n):
@@ -888,6 +889,27 @@ class TestBlockedForm:
         with pytest.raises(RegisterError, match="distinct ions"):
             apply_sector_superop(flat, np.eye(16), (0, 3), 3)
         assert flat.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_sweep_and_bond_sum_take_each_charge_block_once(self, blocked_and_dense, monkeypatch, n):
+        rho = blocked_and_dense(np.random.default_rng(34 + n), n)[0]
+        superop = _pair_superops()["D"]
+        bonds = [(i, i + 1) for i in range(n - 1)]
+        expected = apply_local(rho, superop, bonds)
+        plan_rows = sorted(rows for rows, _ in register_module._sector_plan(n, (0, 1)))
+        taken, ix = [], np.ix_
+
+        def spy(*args):
+            taken.append(list(args[0]))
+            return ix(*args)
+
+        monkeypatch.setattr(np, "ix_", spy)
+        out = apply_local(rho, superop, bonds)
+        assert sorted(taken) == plan_rows
+        assert out.sectors.tobytes() == expected.sectors.tobytes()
+        taken.clear()
+        local_sum(rho, superop, bonds)
+        assert sorted(taken) == plan_rows
 
 
 def _invariant_states():

@@ -6,7 +6,7 @@ from math import pi
 from pathlib import Path
 
 from spinmaps.channels import Channel, choi, process_fidelity
-from spinmaps.cli import _verify_swap, verify_sequences
+from spinmaps.cli import verify_sequences
 from spinmaps.gateset import (
     min_register_size,
     parse_sequence,
@@ -15,7 +15,7 @@ from spinmaps.gateset import (
     serialize_sequence,
 )
 from spinmaps.maps import DissipativeMapSpec, elementary_dissipative_map
-from spinmaps.register import qubit_register
+from spinmaps.register import basis_bits, qubit_register
 
 TABLES = Path(__file__).resolve().parents[1] / "src" / "spinmaps" / "data" / "pulse_tables"
 
@@ -76,7 +76,7 @@ class TestTableFiles:
 class TestSwapTable:
     def test_reproduces_flip_flop_unitary(self):
         seq = parse_sequence((TABLES / "swap.txt").read_text())
-        result = _verify_swap(seq)
+        result = _TARGET_CHECKS["swap"](seq)
         assert result["fidelity"] >= 1 - 1e-9
 
     def test_swaps_an_excitation_between_ancilla_and_target(self):
@@ -142,10 +142,16 @@ from spinmaps.cli import (  # noqa: E402
     _permute_ions,
     _reduced_channel,
     _TARGET_CHECKS,
-    _z_phases,
     main,
 )
 from spinmaps.maps import HamiltonianMapSpec, hamiltonian_map  # noqa: E402
+
+
+def _z_phases(angles):
+    """Diagonal of the per-qubit z frame prod_i exp(-i a_i/2 sigma^z_i), ion 0
+    most significant, from the sign table at each call: the reference for the
+    phase table that the objective builds once per fit."""
+    return np.exp(0.5j * (1 - 2 * basis_bits(len(angles))) @ angles)
 
 
 def kron_z_frame_diagonal(angles):
@@ -206,11 +212,20 @@ def bilinear_frame_fidelity(target, u, x):
     return (np.abs(overlap) / u.shape[0]) ** 2
 
 
-def random_pair_kraus(rng, rank):
-    """Kraus set of a random 2-qubit channel: the blocks of a random isometry."""
-    g = rng.standard_normal((4 * rank, 4)) + 1j * rng.standard_normal((4 * rank, 4))
+def random_kraus(rng, d, rank):
+    """Kraus set of a random channel on dimension d: the blocks of a random isometry."""
+    g = rng.standard_normal((d * rank, d)) + 1j * rng.standard_normal((d * rank, d))
     iso, _ = np.linalg.qr(g)
-    return tuple(iso[4 * k : 4 * (k + 1)] for k in range(rank))
+    return tuple(iso[d * k : d * (k + 1)] for k in range(rank))
+
+
+def untabulated_objective(ideal, candidate, n, x):
+    """The frame-fit score with the frame rebuilt from x at each call:
+    (||M||_* / d)^2 by an SVD of every M, 1x1 included."""
+    ideal, candidate = np.asarray(ideal), np.asarray(candidate)
+    d = ideal.shape[-1]
+    form = (ideal.conj()[:, None] * candidate[None]).reshape(len(ideal), len(candidate), d * d)
+    return (np.linalg.svd(form @ _z_phases(np.roll(x, n)), compute_uv=False).sum() / d) ** 2
 
 
 def random_unitary(rng, d):
@@ -236,8 +251,8 @@ class TestKrausOverlapObjective:
     def test_matches_choi_process_fidelity_on_random_pair_channels(self, rank):
         rng = np.random.default_rng(100 + rank)
         for trial in range(20):
-            kraus = random_pair_kraus(rng, rank)
-            ideal = self.IDEAL if trial % 2 else random_pair_kraus(rng, int(rng.integers(1, 5)))
+            kraus = random_kraus(rng, 4, rank)
+            ideal = self.IDEAL if trial % 2 else random_kraus(rng, 4, int(rng.integers(1, 5)))
             x = rng.uniform(-pi, pi, 4)
             score = _frame_objective(ideal, kraus, 2)(x)
             assert abs(score - framed_process_fidelity(ideal, kraus, x)) <= 1e-12
@@ -250,6 +265,20 @@ class TestKrausOverlapObjective:
             x = rng.uniform(-pi, pi, 2 * n)
             expected = bilinear_frame_fidelity(target, u, x)
             assert abs(_frame_objective((target,), (u,), n)(x) - expected) <= 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tabulated_frame_equals_the_rebuilt_frame(self, n):
+        rng = np.random.default_rng(40 + n)
+        for rank in (2, 3, 4):
+            for _ in range(10):
+                ideal = random_kraus(rng, 2**n, int(rng.integers(1, 5)))
+                kraus = random_kraus(rng, 2**n, rank)
+                x = rng.uniform(-pi, pi, 2 * n)
+                expected = untabulated_objective(ideal, kraus, n, x)
+                assert _frame_objective(ideal, kraus, n)(x) == expected
+                single = (ideal[0],), (kraus[0],)
+                expected = untabulated_objective(*single, n, x)
+                assert abs(_frame_objective(*single, n)(x) - expected) <= 1e-15
 
     @pytest.mark.parametrize("table", ["swap", "hamiltonian_3spin"])
     def test_one_operator_each_side_on_the_shipped_targets(self, table):
