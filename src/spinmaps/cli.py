@@ -665,15 +665,12 @@ def _frame_objective(ideal, candidate, n_ions: int):
     The phase table and the half-swap index are built once per fit, here, so
     one evaluation is a gather, a matmul and a norm: w = exp(phase @ x[order])
     is the diagonal of prod_i exp(-i a_i/2 sigma^z_i) over the angles (out, in),
-    ion 0 most significant.  A 1x1 M is scored by its modulus."""
+    ion 0 most significant."""
     ideal, candidate = np.asarray(ideal), np.asarray(candidate)
     d = ideal.shape[-1]
     form = (ideal.conj()[:, None] * candidate[None]).reshape(len(ideal), len(candidate), d * d)
     phase = 0.5j * (1 - 2 * basis_bits(2 * n_ions))
     order = np.roll(np.arange(2 * n_ions), n_ions)
-    if form.shape[:2] == (1, 1):
-        row = form[0, 0]
-        return lambda x: (abs(row @ np.exp(phase @ x[order])) / d) ** 2
     return lambda x: (np.linalg.svd(form @ np.exp(phase @ x[order]),
                                     compute_uv=False).sum() / d) ** 2
 

@@ -41,9 +41,7 @@ Conventions used throughout the package:
   stored ones: per charge, one gather of them, one product with the
   superoperator's charge block (sizes 1, 4, 6, 4, 1 on a pair) and one
   scatter, over a plan of flat positions cached per ``(N, sites)``.  The
-  charge blocks depend on the superoperator and the number of sites only,
-  so :func:`apply_local` and :func:`local_sum` take them once per call for
-  all their placements (:func:`_charge_blocks`).
+  charge blocks are taken once per call for all placements (:func:`_charge_blocks`).
 """
 
 from __future__ import annotations
@@ -589,12 +587,10 @@ def _charge_blocks(
     superop: np.ndarray, placements: Iterable[Sequence[int]], n: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """``(S_c, idx_c)`` per local charge ``c`` of the :func:`_sector_plan` of each
-    qubit sites tuple of ``placements`` of n, in order: the charge block
-    ``superop[np.ix_(rows_c, rows_c)]`` of the row-major ``superop`` and the
-    flat-buffer positions it acts on.  A plan's rows depend on n and the number
-    of sites only, so each block is taken once, from the first plan, and shared
-    by every placement.  Raises :class:`RegisterError` if ``superop`` does not
-    fit a placement; whether it moves charge is the caller's check."""
+    sites tuple of ``placements`` of n, in order: the charge block of the
+    row-major ``superop``, taken once as a plan's rows depend on n and the
+    number of sites only, and the flat-buffer positions it acts on.  Raises
+    :class:`RegisterError` if ``superop`` does not fit a placement."""
     terms, blocks = [], None
     for sites in placements:
         sites = tuple(sites)
@@ -608,17 +604,13 @@ def _charge_blocks(
 
 
 def apply_sector_superop(
-    flat: np.ndarray, superop: np.ndarray, sites: Sequence[int], n: int
+    flat: np.ndarray, superop: np.ndarray, placements: Iterable[Sequence[int]], n: int
 ) -> np.ndarray:
-    """Apply a row-major superoperator supported on qubit ``sites`` to the flat
-    sector buffer of an n-qubit state, in place, one local charge ``c`` at a
-    time: ``flat[idx_c] = S_c @ flat[idx_c]`` over :func:`_charge_blocks`.
-    Raises :class:`RegisterError` if ``superop`` moves charge, since the buffer
-    holds no entry for it to move to or from."""
-    terms = _charge_blocks(superop, [sites], n)
-    if np.any(superop[_charge_moving(len(sites))]):
-        raise RegisterError(f"superoperator on sites {tuple(sites)} moves excitation charge")
-    for block, idx in terms:
+    """Apply a row-major superoperator at each qubit sites tuple of ``placements``
+    in order to the flat sector buffer of an n-qubit state, in place:
+    ``flat[idx_c] = S_c @ flat[idx_c]`` over :func:`_charge_blocks`.  It must
+    move no charge (:func:`_sector_form` checks): the buffer holds no entry for it."""
+    for block, idx in _charge_blocks(superop, placements, n):
         flat[idx] = block @ flat[idx]
     return flat
 
@@ -637,14 +629,11 @@ def apply_local(
     """Apply a row-major local superoperator at each sites tuple of ``placements``
     in order, in place on one copy of ``rho``'s stored form, then re-Hermitize
     it and return it validated.  A blocked state under a qubit superoperator
-    that moves no charge takes the sector kernel of :func:`apply_sector_superop`
-    over the :func:`_charge_blocks` of all placements and stays blocked; any
-    other takes the tiled :func:`apply_local_superop`."""
+    that moves no charge takes the sector kernel :func:`apply_sector_superop`
+    and stays blocked; any other takes the tiled :func:`apply_local_superop`."""
     n, dims = rho.layout.n_ions, rho.layout.ion_dims
     if _sector_form(rho, superop):
-        flat = rho.sectors.copy()
-        for block, idx in _charge_blocks(superop, placements, n):
-            flat[idx] = block @ flat[idx]
+        flat = apply_sector_superop(rho.sectors.copy(), superop, placements, n)
         for block in sector_views(flat, n):
             hermitize(block)
         return DensityOperator.from_sectors(rho.layout, flat)

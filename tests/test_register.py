@@ -871,24 +871,36 @@ class TestBlockedForm:
                 local[register_module._charge_moving(k)] = 0
             flat = rng.standard_normal(comb(2 * n, n)) + 1j * rng.standard_normal(comb(2 * n, n))
             expected = apply_local_superop(dense_of(flat, n), local, sites, (2,) * n)
-            out = apply_sector_superop(flat, local, sites, n)
+            out = apply_sector_superop(flat, local, [sites], n)
             assert out is flat
             assert np.max(np.abs(dense_of(flat, n) - expected)) <= 1e-12
             # the tiled apply leaves the cross-sector entries it was given at zero
             assert np.count_nonzero(expected) == np.count_nonzero(dense_of(flat, n))
+        if n >= 3:  # one call over all placements equals the placements one by one
+            placements = [(0, 1), (1, 2), (n - 1, 0)]
+            flat = rng.standard_normal(comb(2 * n, n)) + 1j * rng.standard_normal(comb(2 * n, n))
+            expected = dense_of(flat, n)
+            for sites in placements:
+                apply_local_superop(expected, superop, sites, (2,) * n, out=expected)
+            apply_sector_superop(flat, superop, placements, n)
+            assert np.max(np.abs(dense_of(flat, n) - expected)) <= 1e-12
 
-    def test_kernel_rejects_a_charge_moving_superoperator(self, blocked_and_dense):
-        c, s = np.cos(0.3), np.sin(0.3)
-        x_rotation = np.array([[c, -1j * s], [-1j * s, c]])
-        flat = blocked_and_dense(np.random.default_rng(33), 3)[0].sectors.copy()
+    def test_kernel_rejects_a_misfit_and_charge_moving_maps_go_dense(self, blocked_and_dense):
+        rho, reference = blocked_and_dense(np.random.default_rng(33), 3)
+        flat = rho.sectors.copy()
         before = flat.copy()
-        with pytest.raises(RegisterError, match="moves excitation charge"):
-            apply_sector_superop(flat, kraus_superop([x_rotation]), (1,), 3)
         with pytest.raises(RegisterError, match="superoperator shape"):
-            apply_sector_superop(flat, np.eye(4), (0, 1), 3)
+            apply_sector_superop(flat, np.eye(4), [(0, 1)], 3)
         with pytest.raises(RegisterError, match="distinct ions"):
-            apply_sector_superop(flat, np.eye(16), (0, 3), 3)
+            apply_sector_superop(flat, np.eye(16), [(0, 3)], 3)
         assert flat.tobytes() == before.tobytes()
+        # the charge check sits in the dispatch: an x rotation takes the tiled dense apply
+        c, s = np.cos(0.3), np.sin(0.3)
+        x_rotation = kraus_superop([np.array([[c, -1j * s], [-1j * s, c]])])
+        out = apply_local(rho, x_rotation, [(1,)])
+        assert out.sectors is None
+        expected = apply_local_superop(reference, x_rotation, (1,), (2,) * 3)
+        assert np.max(np.abs(out.matrix - expected)) <= 1e-12
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_sweep_and_bond_sum_take_each_charge_block_once(self, blocked_and_dense, monkeypatch, n):
