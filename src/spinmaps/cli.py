@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import Iterator
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import __version__
 from .channels import Channel
@@ -675,6 +674,16 @@ def _frame_objective(ideal, candidate, n_ions: int):
                                     compute_uv=False).sum() / d) ** 2
 
 
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first frame fit: the import
+    pulls in scipy.sparse, scipy.special and scipy.spatial, which no
+    ``spinmaps run`` needs.  It stays a module-level name so that the
+    benchmark's frame-fit span (``perfbench/tracing.py``) can wrap it."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
+
+
 def _frame_fit(ideal, candidate, n_ions: int, options: dict) -> float:
     """Largest :func:`_frame_objective` score over the zero frame and Nelder-Mead
     runs from two seeded random starts, capped at 1."""
@@ -690,9 +699,13 @@ def _frame_fit(ideal, candidate, n_ions: int, options: dict) -> float:
 
 
 def _best_over_roles(fits) -> tuple[float, object]:
-    """First largest-fidelity ``(fidelity, detail)`` among ``fits(perm)`` over the
-    ion roles of a 3-ion table; table ion ``perm[k]`` plays role ``k``."""
-    return max((f for perm in permutations(range(3)) for f in fits(perm)), key=lambda f: f[0])
+    """First ``(fidelity, detail)`` among ``fits(perm)`` over the ion roles of a
+    3-ion table whose fidelity lies within 1e-12 of the largest, so roles that
+    symmetry ties pick the same detail whatever their last bits; table ion
+    ``perm[k]`` plays role ``k``."""
+    scored = [f for perm in permutations(range(3)) for f in fits(perm)]
+    best = max(f[0] for f in scored)
+    return next(f for f in scored if f[0] >= best - 1e-12)
 
 
 def _flip_flop_target() -> np.ndarray:

@@ -856,3 +856,45 @@ class TestBlockedRun:
             tracemalloc.stop()
         assert forms == [True] * 7
         assert max(peaks) < 1.0, peaks
+
+
+import os  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+
+_STARTUP_PROBE = """
+import json, sys
+from pathlib import Path
+import spinmaps.cli as cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[:2] in (
+        ["scipy", "optimize"], ["scipy", "sparse"], ["scipy", "special"], ["scipy", "spatial"]))
+
+out, config, tables = map(Path, sys.argv[1:])
+cli.run_to_files(cli.parse_config(config), out, "pump_3spin")
+after_run = loaded()
+cli.verify_sequences(tables)
+print(json.dumps([after_run, loaded()]))
+"""
+
+
+class TestStartupImports:
+    def test_a_run_loads_no_optimizer_and_a_fit_loads_it(self, tmp_path):
+        # scipy.optimize drags in scipy.sparse, scipy.special and scipy.spatial;
+        # only frame fits need it, so a run must start without it.
+        tables = tmp_path / "tables"
+        tables.mkdir()
+        (tables / "swap.txt").write_text(
+            (Path(cli_module.__file__).parent / "data" / "pulse_tables" / "swap.txt").read_text())
+        src = str(Path(cli_module.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", _STARTUP_PROBE, str(tmp_path / "run"),
+             str(CONFIGS / "pump_3spin.cfg"), str(tables)],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        after_run, after_fit = json.loads(proc.stdout)
+        assert after_run == []
+        assert "scipy.optimize" in after_fit
+        assert (tmp_path / "run" / "pump_3spin.csv").is_file()

@@ -137,6 +137,7 @@ from itertools import permutations  # noqa: E402
 import spinmaps.cli as cli_module  # noqa: E402
 from spinmaps.cli import (  # noqa: E402
     MAX_TABLE_IONS,
+    _best_over_roles,
     _flip_flop_target,
     _frame_objective,
     _permute_ions,
@@ -307,6 +308,41 @@ class TestPinnedReferenceFits:
         result = _TARGET_CHECKS["single_dissipative_map"](seq)
         assert result["fidelity"] == pytest.approx(0.32012160845091414, abs=1e-9)
         assert result["assignment"] == {"ancilla": 2, "prep": 1, "pair_order": [0, 1]}
+
+
+class TestRoleChoice:
+    def test_first_role_within_the_tolerance_wins_with_its_own_value(self):
+        # Symmetric roles tie up to the last bit; the later role must not win
+        # by it, and the report keeps the chosen role's value.
+        low = 0.7285533905932737
+        scores = {(0, 1, 2): low, (2, 1, 0): float(np.nextafter(low, 1.0))}
+        fidelity, perm = _best_over_roles(lambda p: [(scores.get(p, 0.25), list(p))])
+        assert (fidelity, perm) == (low, [0, 1, 2])
+
+    def test_a_role_better_by_more_than_the_tolerance_wins(self):
+        scores = {(0, 1, 2): 0.5, (1, 2, 0): 0.5 + 2e-12}
+        assert _best_over_roles(lambda p: [(scores.get(p, 0.25), p)]) == (0.5 + 2e-12, (1, 2, 0))
+
+
+class TestFitsGoThroughCliMinimize:
+    def test_every_fit_calls_the_module_level_minimize(self, tmp_path, monkeypatch):
+        # The benchmark's frame-fit span wraps spinmaps.cli.minimize and counts
+        # the nfev of what it returns, so every fit must look that name up.
+        from scipy.optimize import OptimizeResult
+
+        results = []
+        original = cli_module.minimize
+
+        def counting(*args, **kwargs):
+            results.append(original(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli_module, "minimize", counting)
+        (tmp_path / "swap.txt").write_text((TABLES / "swap.txt").read_text())
+        (entry,) = verify_sequences(tmp_path)["files"]
+        assert entry["reference"]["fidelity"] >= 1 - 1e-9
+        assert results
+        assert all(isinstance(r, OptimizeResult) and r.nfev > 0 for r in results)
 
 
 class TestTargetCheckErrors:
