@@ -27,9 +27,7 @@ from .channels import (
     depolarizing_channel,
     mean_state_fidelity,
     mix,
-    park_from,
     process_fidelity,
-    reset_ancilla,
     trace_distance,
     uhlmann_fidelity,
 )
@@ -38,9 +36,6 @@ from .gateset import (
     PulseSequence,
     SequenceSyntaxError,
     UnitaryModeError,
-    apply_MS,
-    apply_R,
-    apply_Sz,
     parse_sequence,
     pauli_exp,
     sequence_channel,

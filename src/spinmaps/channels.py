@@ -1,5 +1,5 @@
 """Generic CPTP machinery: Kraus channels, depolarizing noise, ancilla reset
-and parking, Choi matrices and fidelity measures.
+and parking channels, Choi matrices and fidelity measures.
 
 Life cycle of a local operation: it is built once as a validated
 :class:`Channel` on its own ions, multiplied out only by :func:`compose`, and
@@ -41,7 +41,6 @@ class Channel:
 
     layout: RegisterLayout
     kraus_ops: tuple[np.ndarray, ...]
-    label: str = ""
 
     def __post_init__(self) -> None:
         d = self.layout.dim
@@ -114,8 +113,8 @@ def apply_embedded(
     return apply_local(rho, channel.superop, [sites])
 
 
-def unitary_channel(layout: RegisterLayout, u: np.ndarray, label: str = "") -> Channel:
-    return Channel(layout, (np.asarray(u, dtype=complex),), label or "unitary")
+def unitary_channel(layout: RegisterLayout, u: np.ndarray) -> Channel:
+    return Channel(layout, (np.asarray(u, dtype=complex),))
 
 
 def mix(channels: list[Channel], weights: list[float]) -> Channel:
@@ -138,16 +137,15 @@ def mix(channels: list[Channel], weights: list[float]) -> Channel:
         if w == 0.0:
             continue
         ops.extend(np.sqrt(w) * k for k in c.kraus_ops)
-    label = "mix(" + ", ".join(f"{w:g}*{c.label}" for c, w in zip(channels, weights)) + ")"
-    return Channel(layout, tuple(ops), label)
+    return Channel(layout, tuple(ops))
 
 
-def compose(first: Channel, second: Channel, label: str = "") -> Channel:
+def compose(first: Channel, second: Channel) -> Channel:
     """Channel applying ``first`` then ``second`` (Kraus products expanded)."""
     if first.layout.ion_dims != second.layout.ion_dims:
         raise ChannelError("composition requires identical layouts")
     ops = tuple(b @ a for b in second.kraus_ops for a in first.kraus_ops)
-    return Channel(first.layout, ops, label or f"{second.label}.{first.label}")
+    return Channel(first.layout, ops)
 
 
 def depolarizing_channel(layout: RegisterLayout, ions: tuple[int, ...]) -> Channel:
@@ -165,7 +163,7 @@ def depolarizing_channel(layout: RegisterLayout, ions: tuple[int, ...]) -> Chann
     for combo in product(paulis, repeat=len(ions)):
         local = kron_product(combo, 0.5 ** len(ions))
         ops.append(embed_operator(local, ions, layout.ion_dims))
-    return Channel(layout, tuple(ops), f"depolarize{ions}")
+    return Channel(layout, tuple(ops))
 
 
 def pump_kraus_ops(dim: int, target: int) -> tuple[np.ndarray, ...]:
@@ -194,16 +192,7 @@ def reset_channel(
         embed_operator(local, (ion,), layout.ion_dims)
         for local in pump_kraus_ops(layout.ion_dims[ion], target_level)
     )
-    return Channel(layout, ops, f"reset({ion}->{target_level})")
-
-
-def reset_ancilla(
-    rho: DensityOperator, ancilla_index: int, target_level: int = 1
-) -> DensityOperator:
-    """Incoherently reinitialize the ancilla ion into ``target_level``."""
-    check_sites((ancilla_index,), rho.layout.n_ions)
-    local = RegisterLayout((rho.layout.ion_dims[ancilla_index],))
-    return apply_embedded(reset_channel(local, 0, target_level), rho, (ancilla_index,))
+    return Channel(layout, ops)
 
 
 def park_kraus_ops(source_level: int) -> tuple[np.ndarray, ...]:
@@ -220,20 +209,12 @@ def park_kraus_ops(source_level: int) -> tuple[np.ndarray, ...]:
     return (k_move, k_keep, k_parked)
 
 
-def park_from(
-    rho: DensityOperator, ancilla_index: int, source_level: int
-) -> DensityOperator:
-    """Uni-directionally pump the ancilla's ``source_level`` into parking |2>.
-
-    Population already parked stays parked (the operation is idempotent);
-    the other computational level is untouched.
-    """
-    channel = park_channel(RegisterLayout((3,)), 0, source_level)
-    return apply_embedded(channel, rho, (ancilla_index,))
-
-
 def park_channel(layout: RegisterLayout, ion: int, source_level: int) -> Channel:
-    """Channel form of :func:`park_from` (for Choi-level idempotence checks)."""
+    """Uni-directional pump of a qutrit ion's ``source_level`` into parking |2>.
+
+    Population already parked stays parked (the channel is idempotent); the
+    other computational level is untouched.
+    """
     check_sites((ion,), layout.n_ions)
     if layout.ion_dims[ion] != 3:
         raise ChannelError("parking requires a qutrit ancilla")
@@ -241,7 +222,7 @@ def park_channel(layout: RegisterLayout, ion: int, source_level: int) -> Channel
         embed_operator(local, (ion,), layout.ion_dims)
         for local in park_kraus_ops(source_level)
     )
-    return Channel(layout, ops, f"park({ion}, from {source_level})")
+    return Channel(layout, ops)
 
 
 def choi(channel: Channel) -> ChoiMatrix:

@@ -473,7 +473,7 @@ def load_state(path: Path) -> DensityOperator:
         return DensityOperator(layout, entries.reshape(layout.dim, layout.dim))
     except KeyError as exc:
         raise ConfigError(f"state file {path}: missing key {exc}") from None
-    except (OSError, TypeError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+    except (OSError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ConfigError(f"state file {path}: {exc}") from None
 
 
@@ -702,10 +702,16 @@ def _best_over_roles(fits) -> tuple[float, object]:
     """First ``(fidelity, detail)`` among ``fits(perm)`` over the ion roles of a
     3-ion table whose fidelity lies within 1e-12 of the largest, so roles that
     symmetry ties pick the same detail whatever their last bits; table ion
-    ``perm[k]`` plays role ``k``."""
-    scored = [f for perm in permutations(range(3)) for f in fits(perm)]
-    best = max(f[0] for f in scored)
-    return next(f for f in scored if f[0] >= best - 1e-12)
+    ``perm[k]`` plays role ``k``.  Scoring stops once the chosen fidelity is
+    within 1e-12 of 1, the cap of :func:`_frame_fit`: no later role displaces it."""
+    scored = []
+    for fit in (f for perm in permutations(range(3)) for f in fits(perm)):
+        scored.append(fit)
+        best = max(f[0] for f in scored)
+        chosen = next(f for f in scored if f[0] >= best - 1e-12)
+        if chosen[0] >= 1.0 - 1e-12:
+            break
+    return chosen
 
 
 def _flip_flop_target() -> np.ndarray:
@@ -734,7 +740,7 @@ def _reduced_channel(
     then reset/traced."""
     v = _permute_ions(u, np.argsort((ancilla, *pair_order)))  # ancilla now ion 0
     kraus = tuple(v[4 * k : 4 * (k + 1), 4 * prep : 4 * (prep + 1)] for k in range(2))
-    return Channel(qubit_register(2), kraus, label="sequence-reduced")
+    return Channel(qubit_register(2), kraus)
 
 
 def _verify_single_map(seq: PulseSequence) -> dict:

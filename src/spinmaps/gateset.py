@@ -5,7 +5,8 @@ the hardware tables: ``R(theta, phi)`` rotates by ``theta*pi`` around the
 equatorial axis at angle ``phi*pi``, ``S_z(theta, ion)`` is an addressed
 AC-Stark z rotation, and ``MS(theta, phi)`` is the collective
 Moelmer-Soerensen interaction ``exp(-i theta pi/4 * S_phi^2)`` with
-``theta = 0.5`` the fully entangling gate.
+``theta = 0.5`` the fully entangling gate.  Each gate is given as its
+register unitary; a state takes it by ``apply(unitary_channel(layout, u), rho)``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from math import cos, isfinite, pi, sin
 
 import numpy as np
 
-from .channels import Channel, compose, reset_channel, unitary_channel
+from .channels import Channel, apply, compose, reset_channel, unitary_channel
 from .register import (
     DensityOperator,
     PauliString,
@@ -141,32 +142,6 @@ def ms_unitary(
     return (vecs * phases) @ vecs.conj().T
 
 
-def _conjugate(rho: DensityOperator, u: np.ndarray) -> DensityOperator:
-    return DensityOperator(rho.layout, u @ rho.matrix @ u.conj().T)
-
-
-def apply_R(
-    rho: DensityOperator,
-    theta: float,
-    phi: float,
-    active_mask: frozenset[int] | None = None,
-) -> DensityOperator:
-    return _conjugate(rho, rotation_unitary(rho.layout, theta, phi, active_mask))
-
-
-def apply_Sz(rho: DensityOperator, theta: float, ion: int) -> DensityOperator:
-    return _conjugate(rho, sz_unitary(rho.layout, theta, ion))
-
-
-def apply_MS(
-    rho: DensityOperator,
-    theta: float,
-    phi: float,
-    active_mask: frozenset[int] | None = None,
-) -> DensityOperator:
-    return _conjugate(rho, ms_unitary(rho.layout, theta, phi, active_mask))
-
-
 def pauli_exp(rho: DensityOperator, string: PauliString, angle: float) -> DensityOperator:
     """Conjugation by exp(-i * angle * string); the exponent is literal here
     (not in units of pi) since these are math-level generators, not table
@@ -176,7 +151,7 @@ def pauli_exp(rho: DensityOperator, string: PauliString, angle: float) -> Densit
         raise RegisterError("pauli_exp requires a Hermitian string")
     vals, vecs = np.linalg.eigh(gen)
     u = (vecs * np.exp(-1j * angle * vals)) @ vecs.conj().T
-    return _conjugate(rho, u)
+    return apply(unitary_channel(rho.layout, u), rho)
 
 
 _PULSE_RE = re.compile(
@@ -193,9 +168,12 @@ def _parse_number(text: str, line_no: int) -> float:
 
 def _parse_ion(text: str, line_no: int) -> int:
     try:
-        return int(text)
+        ion = int(text)
     except ValueError:
         raise SequenceSyntaxError(line_no, f"bad ion index {text!r}") from None
+    if ion < 0:
+        raise SequenceSyntaxError(line_no, f"negative ion index {ion}")
+    return ion
 
 
 def parse_sequence(text: str) -> PulseSequence:
@@ -283,11 +261,11 @@ def sequence_channel(seq: PulseSequence, layout: RegisterLayout) -> Channel:
     same channel semantics here: an incoherent pump of the addressed ion
     into |1>.
     """
-    channel = unitary_channel(layout, np.eye(layout.dim), "sequence")
+    channel = unitary_channel(layout, np.eye(layout.dim))
     for pulse in seq.pulses:
         if pulse.kind in ("Reset", "Repump"):
             stage = reset_channel(layout, pulse.ion, target_level=1)
         else:
             stage = unitary_channel(layout, _pulse_unitary(pulse, layout, seq.active_mask))
-        channel = compose(channel, stage, "sequence")
+        channel = compose(channel, stage)
     return channel

@@ -21,7 +21,6 @@ from .channels import (
     Channel,
     ChannelError,
     apply_embedded,
-    compose,
     depolarizing_channel,
     mix,
     unitary_channel,
@@ -75,10 +74,6 @@ class DissipativeMapSpec:
             raise RegisterError(f"theta {self.theta} outside [0, pi/2]")
         if not 0.0 <= self.epsilon <= 1.0:
             raise RegisterError(f"epsilon {self.epsilon} outside [0, 1]")
-
-    @property
-    def pair(self) -> tuple[int, int]:
-        return (self.site, self.site + 1)
 
 
 @dataclass(frozen=True)
@@ -135,7 +130,7 @@ def elementary_dissipative_map(spec: DissipativeMapSpec) -> Channel:
     mixes in the double-depolarizing channel on both pair spins.
     """
     e1, e2 = dissipative_kraus(spec.theta)
-    return _depolarized(Channel(_PAIR_LAYOUT, (e1, e2), label=f"D{spec.pair}"), spec.epsilon)
+    return _depolarized(Channel(_PAIR_LAYOUT, (e1, e2)), spec.epsilon)
 
 
 def _ancilla_dilation_unitary(theta_map: float, phi: float, omit_inverse: bool) -> np.ndarray:
@@ -173,7 +168,7 @@ def circuit_dissipative_map(spec: DissipativeMapSpec) -> Channel:
     u = _ancilla_dilation_unitary(pi / 2, phi, omit_inverse=omit)
     # Stinespring reduction: K_k = <k|_a U |1>_a, ancilla is the first factor.
     kraus = tuple(u[4 * k : 4 * (k + 1), 4 : 8] for k in range(2))
-    return _depolarized(Channel(_PAIR_LAYOUT, kraus, label=f"circuit-D{spec.pair}"), spec.epsilon)
+    return _depolarized(Channel(_PAIR_LAYOUT, kraus), spec.epsilon)
 
 
 def interaction_hamiltonian(n: int, periodic: bool = False) -> np.ndarray:
@@ -190,41 +185,17 @@ def _pair_interaction_unitary(phi: float) -> np.ndarray:
 
 def elementary_hamiltonian_map(phi: float, epsilon_coh: float = 0.0) -> Channel:
     """Pair-level coherent map with optional depolarizing wrapper."""
-    ideal = unitary_channel(_PAIR_LAYOUT, _pair_interaction_unitary(phi), f"U(phi={phi:g})")
+    ideal = unitary_channel(_PAIR_LAYOUT, _pair_interaction_unitary(phi))
     return _depolarized(ideal, epsilon_coh)
 
 
-# A noisy pair map has 17 Kraus operators, so the materialized composite map
-# has 17**pairs of them: 4,913 at three pairs, 83,521 at four.
-_MATERIALIZE_MAX_PAIRS = 3
-
-
 def hamiltonian_map(spec: HamiltonianMapSpec, n: int, periodic: bool = False) -> Channel:
-    """Composite Hamiltonian map on N spins as a single channel.
-
-    Ideal case: the unitary exp(-i phi H), diagonal in the computational
-    basis.  With noise the per-pair wrapped maps are composed, which
-    materializes their Kraus products, so it is limited to three pairs
-    (the schedule runner applies pairs sequentially instead).
-    """
-    layout = qubit_register(n)
-    if spec.epsilon_coh == 0.0:
-        u = np.diag(np.exp(-1j * spec.phi * interaction_hamiltonian(n, periodic)))
-        return unitary_channel(layout, u, f"U(phi={spec.phi:g})")
-    pairs = _sweep_sites(n, periodic)
-    if len(pairs) > _MATERIALIZE_MAX_PAIRS:
-        raise ChannelError(
-            f"materializing the noisy composite map over {len(pairs)} pairs (more than "
-            f"{_MATERIALIZE_MAX_PAIRS}) is not supported; apply composite_map instead"
-        )
-    pair = elementary_hamiltonian_map(spec.phi, spec.epsilon_coh)
-    label = f"U(phi={spec.phi:g}, eps={spec.epsilon_coh:g})"
-    channel = unitary_channel(layout, np.eye(layout.dim), label)
-    for i in pairs:
-        ions = _sites_to_ions(i, n, periodic)
-        stage = tuple(embed_operator(k, ions, layout.ion_dims) for k in pair.kraus_ops)
-        channel = compose(channel, Channel(layout, stage), label)
-    return channel
+    """Ideal composite Hamiltonian map exp(-i phi H) on N spins, diagonal in the
+    computational basis; a noisy one is applied by :func:`apply_hamiltonian_map`."""
+    if spec.epsilon_coh != 0.0:
+        raise ChannelError("a noisy Hamiltonian map is applied by apply_hamiltonian_map")
+    u = np.diag(np.exp(-1j * spec.phi * interaction_hamiltonian(n, periodic)))
+    return unitary_channel(qubit_register(n), u)
 
 
 def _sweep_sites(n: int, periodic: bool) -> list[int]:

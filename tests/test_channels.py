@@ -15,9 +15,7 @@ from spinmaps.channels import (
     mean_state_fidelity,
     mix,
     park_channel,
-    park_from,
     process_fidelity,
-    reset_ancilla,
     reset_channel,
     trace_distance,
     uhlmann_fidelity,
@@ -35,7 +33,7 @@ from spinmaps.register import (
 
 
 def identity_channel(layout):
-    return unitary_channel(layout, np.eye(layout.dim), "identity")
+    return unitary_channel(layout, np.eye(layout.dim))
 
 
 def pauli_eigenstate_products(layout):
@@ -79,7 +77,7 @@ def random_channel(layout, n_kraus, seed):
     total = sum(k.conj().T @ k for k in ops)
     vals, vecs = np.linalg.eigh(total)
     inv_sqrt = (vecs * (1 / np.sqrt(vals))) @ vecs.conj().T
-    return Channel(layout, tuple(k @ inv_sqrt for k in ops), f"random{seed}")
+    return Channel(layout, tuple(k @ inv_sqrt for k in ops))
 
 
 class TestApply:
@@ -163,7 +161,7 @@ class TestReset:
     def test_pumps_ground_to_excited(self):
         lay = system_with_ancilla(1, ancilla_dim=2)
         rho = basis_state(lay, [0, 1]).density()
-        out = reset_ancilla(rho, 0)
+        out = apply_embedded(reset_channel(RegisterLayout((2,)), 0, 1), rho, (0,))
         assert np.allclose(out.matrix, basis_state(lay, [1, 1]).density().matrix)
 
     def test_destroys_branch_coherence(self):
@@ -173,7 +171,7 @@ class TestReset:
         psi1 = np.array([0, 1, 1, 0]) / np.sqrt(2)
         vec = (np.kron([1, 0], psi0) + np.kron([0, 1], psi1)) / np.sqrt(2)
         rho = DensityOperator(lay, np.outer(vec, vec.conj()))
-        out = reset_ancilla(rho, 0)
+        out = apply_embedded(reset_channel(RegisterLayout((2,)), 0, 1), rho, (0,))
         mixture = (np.outer(psi0, psi0.conj()) + np.outer(psi1, psi1.conj())) / 2
         expected = np.kron(np.diag([0.0, 1.0]), mixture)
         assert np.allclose(out.matrix, expected, atol=1e-12)
@@ -181,7 +179,8 @@ class TestReset:
     def test_noop_when_already_reset(self):
         lay = system_with_ancilla(1, ancilla_dim=2)
         rho = basis_state(lay, [1, 0]).density()
-        assert np.allclose(reset_ancilla(rho, 0).matrix, rho.matrix)
+        out = apply_embedded(reset_channel(RegisterLayout((2,)), 0, 1), rho, (0,))
+        assert np.allclose(out.matrix, rho.matrix)
 
     def test_idempotent_as_channel(self):
         lay = RegisterLayout((3,), ancilla_index=0)
@@ -194,13 +193,13 @@ class TestParking:
     def test_moves_source_level(self):
         lay = RegisterLayout((3,), ancilla_index=0)
         rho = basis_state(lay, [1]).density()
-        out = park_from(rho, 0, source_level=1)
+        out = apply_embedded(park_channel(lay, 0, source_level=1), rho, (0,))
         assert np.allclose(out.matrix, np.diag([0, 0, 1.0]))
 
     def test_accumulates_on_existing_parking_population(self):
         lay = RegisterLayout((3,), ancilla_index=0)
         rho = DensityOperator(lay, np.diag([0.2, 0.3, 0.5]).astype(complex))
-        out = park_from(rho, 0, source_level=0)
+        out = apply_embedded(park_channel(lay, 0, source_level=0), rho, (0,))
         assert np.allclose(out.matrix, np.diag([0.0, 0.3, 0.7]), atol=1e-12)
 
     def test_idempotent_as_channel(self):
@@ -212,7 +211,7 @@ class TestParking:
         lay = qubit_register(1)
         rho = basis_state(lay, [0]).density()
         with pytest.raises(ChannelError):
-            park_from(rho, 0, source_level=0)
+            apply_embedded(park_channel(RegisterLayout((3,)), 0, source_level=0), rho, (0,))
 
 
 class TestChoiAndFidelities:
@@ -322,7 +321,7 @@ class TestResetLevelRange:
     def test_reset_ancilla_rejects_level_outside_qutrit(self, level):
         rho = basis_state(system_with_ancilla(2), [0, 1, 0]).density()
         with pytest.raises(ChannelError, match="target level"):
-            reset_ancilla(rho, 0, level)
+            apply_embedded(reset_channel(RegisterLayout((3,)), 0, level), rho, (0,))
 
     @pytest.mark.parametrize("dim,level", [(2, -1), (2, 2), (3, -1), (3, 3)])
     def test_pump_kraus_ops_rejects_level(self, dim, level):

@@ -333,6 +333,18 @@ class TestStateFileBoundary:
         with pytest.raises(ConfigError):
             initial_state(config)
 
+    def test_entry_beyond_the_float_range(self, tmp_path, capsys):
+        payload = self.dumped(tmp_path, dicke_state(1, 3).density())
+        payload["matrix"][0] = [10**400, 0]
+        code, err = self.run_with_state(tmp_path, capsys, json.dumps(payload))
+        assert code == 2
+        assert "config error" in err and "state file" in err
+
+    def test_nesting_deeper_than_the_recursion_limit(self, tmp_path, capsys):
+        code, err = self.run_with_state(tmp_path, capsys, "[" * 100_000 + "]" * 100_000)
+        assert code == 2
+        assert "config error" in err and "state file" in err
+
     def test_load_state_rejects_wrong_entry_count(self, tmp_path):
         payload = self.dumped(tmp_path, dicke_state(1, 3).density())
         payload["matrix"] = payload["matrix"][:-1]
@@ -885,8 +897,9 @@ class TestStartupImports:
         # only frame fits need it, so a run must start without it.
         tables = tmp_path / "tables"
         tables.mkdir()
-        (tables / "swap.txt").write_text(
-            (Path(cli_module.__file__).parent / "data" / "pulse_tables" / "swap.txt").read_text())
+        # a table whose fit runs Nelder-Mead; swap.txt fits exactly at the zero frame
+        table = Path(cli_module.__file__).parent / "data" / "pulse_tables" / "hamiltonian_3spin.txt"
+        (tables / table.name).write_text(table.read_text())
         src = str(Path(cli_module.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-c", _STARTUP_PROBE, str(tmp_path / "run"),

@@ -3,15 +3,12 @@ import pytest
 from math import pi
 from scipy.linalg import expm
 
-from spinmaps.channels import Channel, choi, process_fidelity
+from spinmaps.channels import Channel, apply, choi, process_fidelity, unitary_channel
 from spinmaps.gateset import (
     Pulse,
     PulseSequence,
     SequenceSyntaxError,
     UnitaryModeError,
-    apply_MS,
-    apply_R,
-    apply_Sz,
     ms_unitary,
     parse_sequence,
     pauli_exp,
@@ -19,6 +16,7 @@ from spinmaps.gateset import (
     sequence_channel,
     sequence_unitary,
     serialize_sequence,
+    sz_unitary,
 )
 from spinmaps.register import (
     DensityOperator,
@@ -47,12 +45,12 @@ def assert_same_state(actual, expected_vec, atol=1e-12):
 class TestCollectiveRotation:
     def test_pi_flop_inverts_population(self):
         rho = basis_state(qubit_register(1), [0]).density()
-        out = apply_R(rho, 1.0, 0.0)
+        out = apply(unitary_channel(rho.layout, rotation_unitary(rho.layout, 1.0, 0.0)), rho)
         assert_same_state(out, [0, 1])
 
     def test_zero_angle_is_identity(self):
         rho = basis_state(qubit_register(2), [1, 0]).density()
-        out = apply_R(rho, 0.0, 0.3)
+        out = apply(unitary_channel(rho.layout, rotation_unitary(rho.layout, 0.0, 0.3)), rho)
         assert np.allclose(out.matrix, rho.matrix)
 
     def test_half_rotation_matches_exponential_oracle(self):
@@ -60,7 +58,7 @@ class TestCollectiveRotation:
         u = expm(-1j * 0.5 * pi / 2 * SX)
         expected = u @ np.array([1, 0])
         rho = basis_state(qubit_register(1), [0]).density()
-        out = apply_R(rho, 0.5, 0.0)
+        out = apply(unitary_channel(rho.layout, rotation_unitary(rho.layout, 0.5, 0.0)), rho)
         assert_same_state(out, expected)
         assert np.allclose(expected, np.array([1, -1j]) / np.sqrt(2))
 
@@ -76,32 +74,34 @@ class TestCollectiveRotation:
     def test_mask_skips_decoupled_ions(self):
         lay = qubit_register(2)
         rho = basis_state(lay, [0, 0]).density()
-        out = apply_R(rho, 1.0, 0.0, active_mask=frozenset({0}))
+        u = rotation_unitary(lay, 1.0, 0.0, active_mask=frozenset({0}))
+        out = apply(unitary_channel(lay, u), rho)
         assert_same_state(out, np.kron([0, 1], [1, 0]))
 
 
 class TestAddressedZ:
     def test_full_period_is_identity_channel(self):
         rho = basis_state(qubit_register(1), [0]).density()
-        rho = apply_R(rho, 0.5, 0.0)
-        out = apply_Sz(rho, 2.0, 0)
+        rho = apply(unitary_channel(rho.layout, rotation_unitary(rho.layout, 0.5, 0.0)), rho)
+        out = apply(unitary_channel(rho.layout, sz_unitary(rho.layout, 2.0, 0)), rho)
         assert np.allclose(out.matrix, rho.matrix, atol=1e-12)
 
     def test_pi_pulse_flips_superposition_phase(self):
         plus = dm([1, 1])
         rho = DensityOperator(qubit_register(1), plus)
-        out = apply_Sz(rho, 1.0, 0)
+        out = apply(unitary_channel(rho.layout, sz_unitary(rho.layout, 1.0, 0)), rho)
         assert np.allclose(out.matrix, dm([1, -1]), atol=1e-12)
 
     def test_zero_angle_identity(self):
         rho = basis_state(qubit_register(2), [1, 0]).density()
-        assert np.allclose(apply_Sz(rho, 0.0, 1).matrix, rho.matrix)
+        out = apply(unitary_channel(rho.layout, sz_unitary(rho.layout, 0.0, 1)), rho)
+        assert np.allclose(out.matrix, rho.matrix)
 
     def test_matches_diagonal_exponential(self):
         lay = qubit_register(1)
         rho = DensityOperator(lay, dm([0.6, 0.8j]))
         u = expm(-1j * 0.73 * pi / 2 * SZ)
-        out = apply_Sz(rho, 0.73, 0)
+        out = apply(unitary_channel(rho.layout, sz_unitary(rho.layout, 0.73, 0)), rho)
         assert np.allclose(out.matrix, u @ rho.matrix @ u.conj().T, atol=1e-12)
 
 
@@ -109,7 +109,7 @@ class TestMolmerSorensen:
     def test_fully_entangling_gate_makes_ghz(self):
         lay = qubit_register(2)
         rho = basis_state(lay, [0, 0]).density()
-        out = apply_MS(rho, 0.5, 0.0)
+        out = apply(unitary_channel(rho.layout, ms_unitary(rho.layout, 0.5, 0.0)), rho)
         assert_same_state(out, np.array([1, 0, 0, -1j]) / np.sqrt(2))
 
     def test_matches_expm_oracle(self):
@@ -120,19 +120,21 @@ class TestMolmerSorensen:
 
     def test_zero_angle_identity(self):
         rho = basis_state(qubit_register(3), [1, 0, 1]).density()
-        assert np.allclose(apply_MS(rho, 0.0, 0.7).matrix, rho.matrix)
+        out = apply(unitary_channel(rho.layout, ms_unitary(rho.layout, 0.0, 0.7)), rho)
+        assert np.allclose(out.matrix, rho.matrix)
 
     def test_two_ion_full_period_is_identity_channel(self):
         # S_phi^2 eigenvalues {0, 4} make MS(2, phi) a global phase
         lay = qubit_register(2)
         rho = DensityOperator(lay, dm([0.5, 0.5, 0.5, 0.5]))
-        out = apply_MS(rho, 2.0, 0.25)
+        out = apply(unitary_channel(rho.layout, ms_unitary(rho.layout, 2.0, 0.25)), rho)
         assert np.allclose(out.matrix, rho.matrix, atol=1e-12)
 
     def test_single_active_qubit_is_identity_channel(self):
         lay = qubit_register(2)
         rho = DensityOperator(lay, dm([0.2, 0.4, 0.7, 0.55]))
-        out = apply_MS(rho, 0.5, 0.0, active_mask=frozenset({0}))
+        u = ms_unitary(lay, 0.5, 0.0, active_mask=frozenset({0}))
+        out = apply(unitary_channel(lay, u), rho)
         assert np.allclose(out.matrix, rho.matrix, atol=1e-12)
 
     def test_single_active_qutrit_fixes_parked_incoherent_states(self):
@@ -141,7 +143,8 @@ class TestMolmerSorensen:
         mat[0, 1] = mat[1, 0] = 0.25
         mat[2, 2] = 0.4
         rho = DensityOperator(lay, mat)
-        out = apply_MS(rho, 0.5, 0.0, active_mask=frozenset({0}))
+        u = ms_unitary(lay, 0.5, 0.0, active_mask=frozenset({0}))
+        out = apply(unitary_channel(lay, u), rho)
         assert np.allclose(out.matrix, rho.matrix, atol=1e-12)
 
     def test_negative_angle_identity_up_to_local_rotations(self):
@@ -197,9 +200,10 @@ class TestPulsePreservation:
     @pytest.mark.parametrize(
         "apply_fn",
         [
-            lambda rho: apply_R(rho, 0.37, 0.21),
-            lambda rho: apply_Sz(rho, 1.13, 1),
-            lambda rho: apply_MS(rho, 0.45, 0.8),
+            lambda rho: apply(
+                unitary_channel(rho.layout, rotation_unitary(rho.layout, 0.37, 0.21)), rho),
+            lambda rho: apply(unitary_channel(rho.layout, sz_unitary(rho.layout, 1.13, 1)), rho),
+            lambda rho: apply(unitary_channel(rho.layout, ms_unitary(rho.layout, 0.45, 0.8)), rho),
         ],
     )
     def test_trace_and_purity_preserved(self, apply_fn):
@@ -261,7 +265,7 @@ class TestSequenceInterpreter:
         lay = qubit_register(2)
         u = sequence_unitary(parse_sequence("R(1.0, 0.0)"), lay)
         rho = basis_state(lay, [0, 0]).density()
-        direct = apply_R(rho, 1.0, 0.0)
+        direct = apply(unitary_channel(rho.layout, rotation_unitary(rho.layout, 1.0, 0.0)), rho)
         assert np.allclose(u @ rho.matrix @ u.conj().T, direct.matrix, atol=1e-12)
 
     def test_concatenation_composes(self):

@@ -11,9 +11,8 @@ from spinmaps.channels import (
     ChannelError,
     apply_embedded,
     compose,
-    park_from,
+    park_channel,
     park_kraus_ops,
-    reset_ancilla,
     reset_channel,
     unitary_channel,
 )
@@ -27,10 +26,9 @@ from spinmaps.gateset import (
 )
 from spinmaps.maps import (
     DissipativeMapSpec,
-    HamiltonianMapSpec,
     apply_dissipative_map,
+    apply_hamiltonian_map,
     elementary_hamiltonian_map,
-    hamiltonian_map,
     jump_operator,
 )
 from spinmaps.register import (
@@ -95,12 +93,10 @@ class TestSequenceChannelProduct:
         layout = qubit_register(min_register_size(seq))
         ch = sequence_channel(seq, layout)
         stages = [pulse_stage(p, layout, seq.active_mask) for p in seq.pulses]
-        assert ch.label == "sequence"
         assert_same_kraus(ch.kraus_ops, nested_product(stages, layout.dim))
 
-    def test_empty_sequence_keeps_its_label(self):
+    def test_empty_sequence_is_the_identity(self):
         ch = sequence_channel(parse_sequence(""), qubit_register(2))
-        assert ch.label == "sequence"
         assert_same_kraus(ch.kraus_ops, [np.eye(4, dtype=complex)])
 
 
@@ -108,14 +104,15 @@ class TestNoisyHamiltonianMapProduct:
     @pytest.mark.parametrize("n,periodic", [(1, False), (2, False), (3, False), (4, False), (2, True), (3, True)])
     @pytest.mark.parametrize("phi,eps", [(0.3, 0.1), (pi / 2, 0.02)])
     def test_matches_nested_product(self, n, periodic, phi, eps):
-        ch = hamiltonian_map(HamiltonianMapSpec(phi, eps), n, periodic)
+        rho = random_state(qubit_register(n), seed=30 + n)
         pair = elementary_hamiltonian_map(phi, eps).kraus_ops
         bonds = range(n if periodic else n - 1)
         stages = [
             [embed_operator(k, (j, (j + 1) % n), (2,) * n) for k in pair] for j in bonds
         ]
-        assert ch.label == f"U(phi={phi:g}, eps={eps:g})"
-        assert_same_kraus(ch.kraus_ops, nested_product(stages, 2**n))
+        expected = sum(k @ rho.matrix @ k.conj().T for k in nested_product(stages, 2**n))
+        out = apply_hamiltonian_map(rho, phi, eps, periodic)
+        assert np.max(np.abs(out.matrix - expected)) <= 1e-12
 
 
 class TestStateUpdatesAgainstDenseKraus:
@@ -125,7 +122,7 @@ class TestStateUpdatesAgainstDenseKraus:
         for ion, d in enumerate(dims):
             for level in range(d):
                 pump = [np.outer(np.eye(d)[level], np.eye(d)[k]) for k in range(d)]
-                out = reset_ancilla(rho, ion, level)
+                out = apply_embedded(reset_channel(RegisterLayout((d,)), 0, level), rho, (ion,))
                 assert np.max(np.abs(out.matrix - dense_kraus_sum(rho, pump, (ion,)))) <= 1e-12
 
     @pytest.mark.parametrize("dims,ion", [((3, 2, 2), 0), ((2, 2, 3, 2), 2)])
@@ -139,7 +136,7 @@ class TestStateUpdatesAgainstDenseKraus:
             np.outer(basis[other], basis[other]),
             np.outer(basis[2], basis[2]),
         ]
-        out = park_from(rho, ion, source)
+        out = apply_embedded(park_channel(RegisterLayout((3,)), 0, source), rho, (ion,))
         assert np.max(np.abs(out.matrix - dense_kraus_sum(rho, local, (ion,)))) <= 1e-12
 
     @pytest.mark.parametrize("n,periodic", [(3, False), (4, False), (5, False), (3, True), (4, True)])
@@ -187,4 +184,4 @@ class TestLocalChannelChecks:
     def test_reset_ancilla_index_out_of_range(self, index):
         rho = random_state(RegisterLayout((3, 2, 2)), seed=0)
         with pytest.raises(RegisterError, match="distinct ions"):
-            reset_ancilla(rho, index)
+            apply_embedded(reset_channel(RegisterLayout((3,)), 0, 1), rho, (index,))

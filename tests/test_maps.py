@@ -17,6 +17,7 @@ from spinmaps.maps import (
     composite_map,
     dissipative_kraus,
     elementary_dissipative_map,
+    elementary_hamiltonian_map,
     hamiltonian_map,
     interaction_hamiltonian,
     jump_operator,
@@ -30,8 +31,10 @@ from spinmaps.register import (
     RegisterError,
     basis_state,
     embed,
+    embed_operator,
     qubit_register,
 )
+from test_local_channels import nested_product
 
 SINGLET = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
 TRIPLET = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
@@ -200,35 +203,19 @@ class TestHamiltonianMap:
         assert np.allclose(out.matrix, u @ rho.matrix @ u.conj().T, atol=1e-12)
 
     def test_noisy_composition_matches_sequential_application(self):
-        spec = HamiltonianMapSpec(0.6, epsilon_coh=0.1)
-        ch = hamiltonian_map(spec, 3)
-        rho = DensityOperator(qubit_register(3), dm(np.arange(1, 9) + 0.5j))
-        assert np.allclose(
-            apply(ch, rho).matrix,
-            apply_hamiltonian_map(rho, 0.6, 0.1).matrix,
-            atol=1e-12,
-        )
+        n = 3
+        rho = DensityOperator(qubit_register(n), dm(np.arange(1, 9) + 0.5j))
+        pair = elementary_hamiltonian_map(0.6, 0.1).kraus_ops
+        stages = [[embed_operator(k, (j, j + 1), (2,) * n) for k in pair] for j in range(n - 1)]
+        expected = sum(k @ rho.matrix @ k.conj().T for k in nested_product(stages, 2**n))
+        assert np.allclose(apply_hamiltonian_map(rho, 0.6, 0.1).matrix, expected, atol=1e-12)
 
-    def test_noisy_composition_at_the_pair_bound(self):
-        # periodic N = 3 has three pairs: 17**3 Kraus operators, the largest allowed
-        spec = HamiltonianMapSpec(0.6, epsilon_coh=0.1)
-        ch = hamiltonian_map(spec, 3, periodic=True)
-        rho = DensityOperator(qubit_register(3), dm(np.arange(1, 9) + 0.5j))
-        assert np.allclose(
-            apply(ch, rho).matrix,
-            apply_hamiltonian_map(rho, 0.6, 0.1, periodic=True).matrix,
-            atol=1e-12,
-        )
-
-    @pytest.mark.parametrize("n, periodic", [(5, False), (4, True)])
-    def test_noisy_composition_beyond_three_pairs_raises_before_allocating(
-        self, n, periodic
-    ):
+    def test_noisy_spec_raises_before_allocating(self):
         spec = HamiltonianMapSpec(0.6, epsilon_coh=0.1)
         tracemalloc.start()
         try:
-            with pytest.raises(ChannelError, match="pairs"):
-                hamiltonian_map(spec, n, periodic)
+            with pytest.raises(ChannelError, match="apply_hamiltonian_map"):
+                hamiltonian_map(spec, 3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -477,7 +464,6 @@ class TestSweepMemory:
         assert _traced_peak(sweep, rho) <= 2.2
 
 
-from spinmaps.maps import elementary_hamiltonian_map  # noqa: E402
 from spinmaps.register import hermitize  # noqa: E402
 
 

@@ -317,7 +317,7 @@ class TestUnitaryAsKrausEquivalence:
 
 
 
-from spinmaps.channels import apply_embedded, park_from, reset_channel  # noqa: E402
+from spinmaps.channels import apply_embedded, park_channel, reset_channel  # noqa: E402
 from spinmaps.maps import DissipativeMapSpec, elementary_dissipative_map  # noqa: E402
 
 
@@ -334,7 +334,8 @@ _SITE_ENTRY_POINTS = {
         rho.matrix, kraus_superop((np.eye(2 ** len(sites)),)), sites, rho.layout.ion_dims),
     "apply_embedded": lambda rho, sites: apply_embedded(
         _local_channel(len(sites)), rho, sites),
-    "park_from": lambda rho, sites: park_from(rho, *sites, source_level=1),
+    "park_from": lambda rho, sites: apply_embedded(
+        park_channel(RegisterLayout((3,)), 0, source_level=1), rho, sites),
 }
 
 

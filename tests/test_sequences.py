@@ -1,5 +1,7 @@
 """Checks for the shipped transcriptions of the hardware pulse tables."""
 
+import json
+
 import numpy as np
 import pytest
 from math import pi
@@ -323,6 +325,23 @@ class TestRoleChoice:
         scores = {(0, 1, 2): 0.5, (1, 2, 0): 0.5 + 2e-12}
         assert _best_over_roles(lambda p: [(scores.get(p, 0.25), p)]) == (0.5 + 2e-12, (1, 2, 0))
 
+    def test_search_stops_at_a_role_that_fits_exactly(self, tmp_path, monkeypatch):
+        # swap.txt fits its target in the identity role, and fits are capped at 1,
+        # so no later role is scored.
+        calls = []
+        original = cli_module._frame_fit
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cli_module, "_frame_fit", counting)
+        (tmp_path / "swap.txt").write_text((TABLES / "swap.txt").read_text())
+        (entry,) = verify_sequences(tmp_path)["files"]
+        assert entry["reference"]["fidelity"] >= 1 - 1e-12
+        assert entry["reference"]["ion_permutation"] == [0, 1, 2]
+        assert len(calls) == 1
+
 
 class TestFitsGoThroughCliMinimize:
     def test_every_fit_calls_the_module_level_minimize(self, tmp_path, monkeypatch):
@@ -338,9 +357,12 @@ class TestFitsGoThroughCliMinimize:
             return results[-1]
 
         monkeypatch.setattr(cli_module, "minimize", counting)
-        (tmp_path / "swap.txt").write_text((TABLES / "swap.txt").read_text())
+        # swap.txt fits exactly at the zero frame, so it runs no Nelder-Mead
+        table = "hamiltonian_3spin.txt"
+        (tmp_path / table).write_text((TABLES / table).read_text())
         (entry,) = verify_sequences(tmp_path)["files"]
-        assert entry["reference"]["fidelity"] >= 1 - 1e-9
+        expected = ((1 + np.sqrt(2)) / (2 * np.sqrt(2))) ** 2
+        assert entry["reference"]["fidelity"] == pytest.approx(expected, abs=1e-9)
         assert results
         assert all(isinstance(r, OptimizeResult) and r.nfev > 0 for r in results)
 
@@ -371,6 +393,21 @@ class TestTargetCheckErrors:
         (tables / "swap.txt").write_text(text)
         assert main(["verify-sequences", str(tables), "--out", str(tmp_path)]) == 0
         assert "swap.txt: ok error:" in capsys.readouterr().out
+
+
+class TestNegativeIonIndex:
+    @pytest.mark.parametrize("text,line", [("R(0.5, 0.0)\nS_z(0.5, -1)\n", 2), ("RESET(-2)\n", 1)],
+                             ids=["S_z", "RESET"])
+    def test_is_a_parse_error_of_its_line(self, tmp_path, text, line):
+        tables = tmp_path / "tables"
+        tables.mkdir()
+        (tables / "negative.txt").write_text(text)
+        (tables / "swap.txt").write_text((TABLES / "swap.txt").read_text())
+        assert main(["verify-sequences", str(tables), "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "sequence_report.json").read_text())
+        bad, swap = report["files"]
+        assert bad["parse_ok"] is False and f"line {line}: negative ion index" in bad["error"]
+        assert swap["parse_ok"] is True and swap["reference"]["fidelity"] >= 1 - 1e-9
 
 
 class TestTableIonCap:
