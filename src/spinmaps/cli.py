@@ -470,7 +470,10 @@ def load_state(path: Path) -> DensityOperator:
         entries = np.array(
             [complex(re, im) for re, im in payload["matrix"]], dtype=complex
         )
-        return DensityOperator(layout, entries.reshape(layout.dim, layout.dim))
+        d = layout.dim
+        if entries.size != d * d:
+            raise ValueError(f"{entries.size} matrix entries for a {d} x {d} state")
+        return DensityOperator(layout, entries.reshape(d, d))
     except KeyError as exc:
         raise ConfigError(f"state file {path}: missing key {exc}") from None
     except (OSError, TypeError, ValueError, OverflowError, RecursionError) as exc:

@@ -15,7 +15,6 @@ from functools import lru_cache
 from math import cos, pi, sin
 
 import numpy as np
-from scipy.linalg import expm
 
 from .channels import (
     Channel,
@@ -141,8 +140,11 @@ def _ancilla_dilation_unitary(theta_map: float, phi: float, omit_inverse: bool) 
     converting singlet to triplet with probability sin^2(phi).
     """
     x_anc = np.array([[0, 1], [1, 0]], dtype=complex)
-    s2_minus_2 = -2.0 * singlet_projector()  # S^2 - 2 = -2 P_singlet on a pair
-    m = expm(-1j * (theta_map / 2.0) * np.kron(x_anc, s2_minus_2))
+    # M = exp(-i (theta/2) X (x) (S^2 - 2)) with S^2 - 2 = -2 P_singlet on a pair;
+    # (X (x) P)^2 = 1 (x) P, so M = 1 + (cos theta - 1) 1 (x) P + i sin theta X (x) P.
+    proj = singlet_projector()
+    m = (np.eye(8, dtype=complex) + (cos(theta_map) - 1.0) * np.kron(np.eye(2), proj)
+         + 1j * sin(theta_map) * np.kron(x_anc, proj))
     # C(phi) = |1><1|_a (x) 1 + |0><0|_a (x) exp(i phi sigma_i^z)
     zi = np.kron(np.diag([np.exp(-1j * phi), np.exp(1j * phi)]), np.eye(2))
     c_gate = np.kron(np.diag([0.0, 1.0]), np.eye(4)) + np.kron(

@@ -42,10 +42,15 @@ Conventions used throughout the package:
   superoperator's charge block (sizes 1, 4, 6, 4, 1 on a pair) and one
   scatter, over a plan of flat positions cached per ``(N, sites)``.  The
   charge blocks are taken once per call for all placements (:func:`_charge_blocks`).
+  :func:`apply_local` fuses consecutive open-chain pairs of a sweep into
+  windows of ``_WINDOW_SITES = 3`` sites, one composed superoperator each
+  (:func:`_windows`; charge blocks 1, 6, 15, 20, 15, 6, 1), so an open chain
+  of N spins takes ``ceil((N - 1) / 2)`` passes and plans instead of N - 1.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Callable, Iterable, Sequence
@@ -128,7 +133,7 @@ class RegisterLayout:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.ion_dims))
+        return math.prod(self.ion_dims)  # a Python int: np.prod wraps in int64 past 63 qubits
 
     def index_of(self, occupation: Sequence[int]) -> int:
         """Mixed-radix basis index of a product state, ion 0 most significant."""
@@ -615,6 +620,57 @@ def apply_sector_superop(
     return flat
 
 
+# Sites of one window of the sector kernel: a run of consecutive open-chain
+# pairs is applied _WINDOW_SITES - 1 pairs at a time, as one superoperator.
+_WINDOW_SITES = 3
+
+
+@lru_cache(maxsize=64)
+def _window_superop(pair: bytes, n_pairs: int) -> np.ndarray:
+    """Row-major superoperator on ``n_pairs + 1`` qubits of the pair
+    superoperator (raw complex bytes) at ``(0, 1)``, then ``(1, 2)``, and so on.
+    A superoperator on k qubits is an operator on the 2k qubits of ``vec(rho)``,
+    kets then bras, so each pair is embedded at ``(j, j + 1, k + j, k + j + 1)``."""
+    k, superop = n_pairs + 1, np.frombuffer(pair, dtype=complex).reshape(16, 16)
+    window = reduce(
+        lambda acc, j: embed_operator(superop, (j, j + 1, k + j, k + j + 1), (2,) * 2 * k) @ acc,
+        range(n_pairs), np.eye(4**k, dtype=complex))
+    window.flags.writeable = False
+    return window
+
+
+def _windows(superop: np.ndarray, placements: Iterable[Sequence[int]]) -> list[tuple[np.ndarray, list]]:
+    """``placements`` of a pair ``superop`` as runs of ``(superop, placements)``
+    to apply in order: each run of consecutive open-chain pairs ``(i, i + 1),
+    (i + 1, i + 2), ...`` is cut into windows of at most ``_WINDOW_SITES - 1``
+    pairs, and a window of several pairs becomes one placement of their
+    composed superoperator (:func:`_window_superop`).  Any other placement,
+    and a superoperator on other than two sites, stays as it is."""
+    placements = [tuple(sites) for sites in placements]
+    if superop.shape != (16, 16):
+        return [(superop, placements)]
+    chunks: list[list[tuple[int, ...]]] = []
+    for sites in placements:
+        last = chunks[-1][-1] if chunks else ()
+        # a placement of other than two sites is left for the kernel to reject
+        if (len(last) == len(sites) == 2 and len(chunks[-1]) < _WINDOW_SITES - 1
+                and last[0] + 1 == last[1] == sites[0] == sites[1] - 1):
+            chunks[-1].append(sites)
+        else:
+            chunks.append([sites])
+    runs: list[tuple[np.ndarray, list]] = []
+    key = np.ascontiguousarray(superop, dtype=complex).tobytes()
+    for chunk in chunks:
+        local, sites = superop, chunk[0]
+        if len(chunk) > 1:
+            local, sites = _window_superop(key, len(chunk)), tuple(range(chunk[0][0], chunk[-1][1] + 1))
+        if runs and runs[-1][0] is local:
+            runs[-1][1].append(sites)
+        else:
+            runs.append((local, [sites]))
+    return runs
+
+
 def _sector_form(rho: DensityOperator, superop: np.ndarray) -> bool:
     """True when ``rho`` is blocked and ``superop`` is a qubit superoperator
     that moves no charge, so that the sector kernel applies it exactly."""
@@ -630,10 +686,14 @@ def apply_local(
     in order, in place on one copy of ``rho``'s stored form, then re-Hermitize
     it and return it validated.  A blocked state under a qubit superoperator
     that moves no charge takes the sector kernel :func:`apply_sector_superop`
-    and stays blocked; any other takes the tiled :func:`apply_local_superop`."""
+    and stays blocked, with consecutive open-chain pairs fused into windows
+    (:func:`_windows`); any other takes the tiled :func:`apply_local_superop`
+    pair by pair."""
     n, dims = rho.layout.n_ions, rho.layout.ion_dims
     if _sector_form(rho, superop):
-        flat = apply_sector_superop(rho.sectors.copy(), superop, placements, n)
+        flat = rho.sectors.copy()
+        for local, sites in _windows(superop, placements):
+            apply_sector_superop(flat, local, sites, n)
         for block in sector_views(flat, n):
             hermitize(block)
         return DensityOperator.from_sectors(rho.layout, flat)

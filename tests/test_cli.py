@@ -318,6 +318,14 @@ class TestStateFileBoundary:
         assert code == 2
         assert "ancilla_index" in err
 
+    def test_layout_past_int64_names_its_size(self, tmp_path, capsys):
+        # its dimension 2**80 wrapped to 0 in int64, which hid the size
+        payload = self.dumped(tmp_path, dicke_state(1, 3).density())
+        payload["layout"]["ion_dims"] = [2] * 80
+        code, err = self.run_with_state(tmp_path, capsys, json.dumps(payload))
+        assert code == 2
+        assert f"64 matrix entries for a {2**80} x {2**80} state" in err
+
     def test_state_with_more_spins_than_n(self, tmp_path, capsys):
         payload = self.dumped(tmp_path, dicke_state(1, 4).density())
         code, err = self.run_with_state(tmp_path, capsys, json.dumps(payload), n=3)

@@ -1,4 +1,5 @@
-"""Every name a spinmaps module imports is used in that module."""
+"""Every name a spinmaps module imports is used in that module, and scipy is
+imported only where it is listed."""
 
 from __future__ import annotations
 
@@ -43,3 +44,50 @@ def test_detects_unused_and_aliased_names():
         "    _check(x)\n"
     )
     assert unused_imports(source) == ["RegisterError (line 3)"]
+
+
+# Every scipy import in the package, as (module, enclosing function or None,
+# imported module).  cli.minimize imports scipy.optimize on the first frame fit,
+# so that no ``spinmaps run`` pays for it.
+SCIPY_SITES = {
+    ("register", None, "scipy.linalg.lapack"),
+    ("cli", "minimize", "scipy.optimize"),
+}
+
+
+def scipy_imports(source: str) -> set[tuple[str | None, str]]:
+    sites = set()
+
+    def visit(node: ast.AST, scope: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            names = []
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names = [child.module]
+            sites.update((scope, name) for name in names if name.split(".")[0] == "scipy")
+            visit(child, scope)
+
+    visit(ast.parse(source), None)
+    return sites
+
+
+def test_scipy_is_imported_only_at_the_listed_sites():
+    found = {(path.stem, scope, name) for path in SRC.glob("*.py")
+             for scope, name in scipy_imports(path.read_text())}
+    assert found == SCIPY_SITES
+
+
+def test_detects_module_level_and_lazy_scipy_imports():
+    source = (
+        "import scipy.sparse\n"
+        "from scipy import linalg\n"
+        "from .register import zpotrf\n"
+        "class A:\n"
+        "    def fit(self):\n"
+        "        from scipy.optimize import minimize\n"
+    )
+    assert scipy_imports(source) == {(None, "scipy.sparse"), (None, "scipy"), ("fit", "scipy.optimize")}

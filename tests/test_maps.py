@@ -170,6 +170,17 @@ class TestCircuitMap:
         omitted = circuit_dissipative_map(DissipativeMapSpec(1, theta=pi / 2))
         assert choi_distance(choi(with_inverse), choi(omitted)) <= 1e-12
 
+    @pytest.mark.parametrize("angle", [0.1, 1.0, pi / 2, 2.5])
+    def test_closed_form_mapping_equals_the_matrix_exponential(self, angle):
+        # at phi = 0 the controlled gate is the identity, so U = M(angle)
+        from scipy.linalg import expm
+
+        from spinmaps.maps import _ancilla_dilation_unitary
+
+        x = np.array([[0, 1], [1, 0]], dtype=complex)
+        expected = expm(-1j * (angle / 2) * np.kron(x, -2.0 * singlet_projector()))
+        assert np.max(np.abs(_ancilla_dilation_unitary(angle, 0.0, omit_inverse=True) - expected)) <= 1e-14
+
 
 class TestHamiltonianMap:
     def test_interaction_counts_adjacent_excited_pairs(self):
@@ -516,3 +527,51 @@ class TestBlockedSweeps:
         expected = hermitize(apply_local_superop(reference, elementary_dissipative_map(spec).superop, (1, 2), (2,) * 4))
         assert out.sectors is not None
         assert np.max(np.abs(out.matrix - expected)) <= 1e-12
+
+
+from math import ceil  # noqa: E402
+
+from spinmaps import register as register_module  # noqa: E402
+from spinmaps.register import apply_sector_superop, sector_views  # noqa: E402
+
+
+def pair_by_pair(rho, superop, periodic):
+    """The blocked sweep without windows: the sector kernel on every sweep pair
+    in order, then the Hermitian part of each block."""
+    n = rho.layout.n_ions
+    pairs = [(i, (i + 1) % n) for i in range(n if periodic else n - 1)]
+    flat = apply_sector_superop(rho.sectors.copy(), superop, pairs, n)
+    for block in sector_views(flat, n):
+        hermitize(block)
+    return flat
+
+
+class TestSweepWindows:
+    """On a blocked state a sweep applies each run of consecutive open-chain
+    pairs as windows of ``_WINDOW_SITES`` sites; it agrees with the sector
+    kernel applied pair by pair."""
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_equal_to_pair_by_pair(self, blocked_and_dense, n, periodic):
+        rng = np.random.default_rng(70 + n)
+        rho = blocked_and_dense(rng, n)[0]
+        for epsilon in (0.0, 0.02):
+            sweeps = [
+                (composite_dissipative_sweep(rho, 0.7, epsilon, periodic),
+                 elementary_dissipative_map(DissipativeMapSpec(1, 0.7, epsilon))),
+                (apply_hamiltonian_map(rho, 0.25 * pi, epsilon, periodic),
+                 elementary_hamiltonian_map(0.25 * pi, epsilon)),
+            ]
+            for out, channel in sweeps:
+                expected = pair_by_pair(rho, channel.superop, periodic)
+                assert out.sectors is not None
+                assert np.max(np.abs(out.sectors - expected)) <= 1e-12
+
+    def test_open_chain_sweep_builds_one_plan_per_window(self):
+        n = 10
+        rho = dicke_state(3, n).density()
+        register_module._sector_plan.cache_clear()
+        composite_dissipative_sweep(rho, 0.7, 0.02)
+        windows = ceil((n - 1) / (register_module._WINDOW_SITES - 1))
+        assert register_module._sector_plan.cache_info().currsize == windows

@@ -895,6 +895,10 @@ class TestBlockedForm:
         with pytest.raises(RegisterError, match="distinct ions"):
             apply_sector_superop(flat, np.eye(16), [(0, 3)], 3)
         assert flat.tobytes() == before.tobytes()
+        # a misfit placement beside a sweep pair is not fused into a window
+        for placements in ([(0, 1, 2), (1, 2)], [(0, 1), (1,)]):
+            with pytest.raises(RegisterError, match="superoperator shape"):
+                apply_local(rho, _pair_superops()["D"], placements)
         # the charge check sits in the dispatch: an x rotation takes the tiled dense apply
         c, s = np.cos(0.3), np.sin(0.3)
         x_rotation = kraus_superop([np.array([[c, -1j * s], [-1j * s, c]])])
@@ -910,6 +914,10 @@ class TestBlockedForm:
         bonds = [(i, i + 1) for i in range(n - 1)]
         expected = apply_local(rho, superop, bonds)
         plan_rows = sorted(rows for rows, _ in register_module._sector_plan(n, (0, 1)))
+        # the sweep applies its 3-site windows as one run and the left-over pair
+        # (4 and 6 ions both end in one) as another: each takes its blocks once
+        sweep_rows = sorted([rows for rows, _ in register_module._sector_plan(n, (0, 1, 2))]
+                            + [rows for rows, _ in register_module._sector_plan(n, (0, 1))])
         taken, ix = [], np.ix_
 
         def spy(*args):
@@ -918,7 +926,7 @@ class TestBlockedForm:
 
         monkeypatch.setattr(np, "ix_", spy)
         out = apply_local(rho, superop, bonds)
-        assert sorted(taken) == plan_rows
+        assert sorted(taken) == sweep_rows
         assert out.sectors.tobytes() == expected.sectors.tobytes()
         taken.clear()
         local_sum(rho, superop, bonds)
