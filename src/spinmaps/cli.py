@@ -17,6 +17,7 @@ import io
 import json
 import re
 import sys
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import permutations
@@ -93,14 +94,15 @@ MAX_SCHEDULE_STEPS = 1_000_000
 # at once.  A larger N is a configuration error before anything is allocated.
 MAX_N = 14
 
+# Schedule token -> parser of its argument: none, an optional angle in units
+# of pi (a bare ``U`` takes the config's phi) or a required integer.
+_TOKEN_ARGS = {"SWEEP": None, "U": float, "D": int, "QND": int,
+               "REMOVE": int, "INJECT": int, "STAB": int}
+
 
 def _tokenize_schedule(text: str) -> list[str]:
     padded = text.replace("{", " { ").replace("}", " } ").replace(";", "\n")
-    words: list[str] = []
-    for line in padded.splitlines():
-        line = line.split("#", 1)[0]
-        words.extend(line.split())
-    return words
+    return [w for line in padded.splitlines() for w in line.split("#", 1)[0].split()]
 
 
 def parse_schedule(text: str) -> tuple[tuple, ...]:
@@ -111,7 +113,6 @@ def parse_schedule(text: str) -> tuple[tuple, ...]:
     pos = 0
     while pos < len(words):
         w = words[pos]
-        items = blocks[-1][1]
         if w == "}":
             if len(blocks) == 1:
                 raise ConfigError(f"schedule token {pos}: unmatched '}}'")
@@ -136,56 +137,24 @@ def parse_schedule(text: str) -> tuple[tuple, ...]:
             blocks.append((count, []))
             pos += 3
             continue
-        if w == "SWEEP":
-            items.append(("SWEEP", None))
-            pos += 1
-            continue
-        if w == "U":
-            # optional angle (units of pi); defaults to the config-level phi
-            if pos + 1 < len(words):
-                try:
-                    phi = float(words[pos + 1])
-                except ValueError:
-                    phi = None
-                else:
-                    items.append(("U", phi))
-                    pos += 2
-                    continue
-            items.append(("U", None))
-            pos += 1
-            continue
-        if w in ("D", "QND", "REMOVE", "INJECT", "STAB"):
-            if pos + 1 >= len(words):
+        if w not in _TOKEN_ARGS:
+            raise ConfigError(f"schedule token {pos}: unknown token {w!r}")
+        parse, arg = _TOKEN_ARGS[w], None
+        if parse is not None and pos + 1 < len(words):
+            with suppress(ValueError):
+                arg = parse(words[pos + 1])
+        if parse is int and arg is None:
+            if pos + 1 == len(words):
                 raise ConfigError(f"schedule token {pos}: {w} needs an integer argument")
-            try:
-                arg = int(words[pos + 1])
-            except ValueError:
-                raise ConfigError(
-                    f"schedule token {pos + 1}: bad argument {words[pos + 1]!r} for {w}"
-                ) from None
-            items.append((w, arg))
-            pos += 2
-            continue
-        raise ConfigError(f"schedule token {pos}: unknown token {w!r}")
+            raise ConfigError(f"schedule token {pos + 1}: bad argument {words[pos + 1]!r} for {w}")
+        blocks[-1][1].append((w, arg))
+        pos += 1 if arg is None else 2
     if len(blocks) != 1:
         raise ConfigError("schedule ended inside a REPEAT block")
     return tuple(blocks[0][1])
 
 
 # --- config ------------------------------------------------------------------
-
-_KNOWN_KEYS = {
-    "N",
-    "m0",
-    "initial",
-    "theta",
-    "phi",
-    "epsilon_diss",
-    "epsilon_coh",
-    "boundary",
-    "dump_states",
-    "out",
-}
 
 
 @dataclass(frozen=True)
@@ -218,6 +187,28 @@ def _parse_bool(value: str, key: str) -> bool:
     if low in ("false", "0", "no"):
         return False
     raise ConfigError(f"key {key}: expected a boolean, got {value!r}")
+
+
+def _parse_boundary(value: str) -> str:
+    if value not in ("open", "periodic"):
+        raise ConfigError(f"boundary must be open|periodic, got {value!r}")
+    return value
+
+
+# Config key -> its RunConfig field and the parser of its text.  Values are parsed
+# in this order, whatever the order of their lines; an absent key takes the default.
+_KEYS = {
+    "N": ("n", int),
+    "m0": ("m0", int),
+    "initial": ("initial", str),
+    "theta": ("theta", float),
+    "phi": ("phi", float),
+    "epsilon_diss": ("epsilon_diss", float),
+    "epsilon_coh": ("epsilon_coh", float),
+    "boundary": ("boundary", _parse_boundary),
+    "dump_states": ("dump_states", partial(_parse_bool, key="dump_states")),
+    "out": ("out", str),
+}
 
 
 def parse_config(path: str | Path, strict: bool = False) -> RunConfig:
@@ -271,7 +262,7 @@ def parse_config_text(text: str, strict: bool = False) -> RunConfig:
         key, value = key.strip(), value.strip()
         if key in values:
             raise ConfigError(f"line {i}: duplicate key {key!r}")
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             if strict:
                 raise ConfigError(f"line {i}: unknown key {key!r}")
             print(f"warning: ignoring unknown config key {key!r}", file=sys.stderr)
@@ -285,31 +276,12 @@ def parse_config_text(text: str, strict: bool = False) -> RunConfig:
         raise ConfigError("missing schedule block")
 
     try:
-        n = int(values["N"])
-        m0 = int(values["m0"])
-        theta = float(values.get("theta", "0.5"))
-        phi = float(values.get("phi", "0.0"))
-        eps_d = float(values.get("epsilon_diss", "0.0"))
-        eps_c = float(values["epsilon_coh"]) if "epsilon_coh" in values else None
-    except ValueError as exc:
+        fields = {name: parse(values[key]) for key, (name, parse) in _KEYS.items() if key in values}
+    except ConfigError:  # the boundary and boolean parsers say what is wrong
+        raise
+    except ValueError as exc:  # int or float could not read the text
         raise ConfigError(f"bad numeric value: {exc}") from None
-
-    boundary = values.get("boundary", "open")
-    if boundary not in ("open", "periodic"):
-        raise ConfigError(f"boundary must be open|periodic, got {boundary!r}")
-    config = RunConfig(
-        n=n,
-        m0=m0,
-        initial=values["initial"],
-        theta=theta,
-        phi=phi,
-        epsilon_diss=eps_d,
-        epsilon_coh=eps_c,
-        boundary=boundary,
-        dump_states=_parse_bool(values.get("dump_states", "false"), "dump_states"),
-        out=values.get("out"),
-        schedule=parse_schedule(schedule_text),
-    )
+    config = RunConfig(**fields, schedule=parse_schedule(schedule_text))
     _validate_config(config)
     return config
 

@@ -345,7 +345,8 @@ class DensityOperator:
                 f"sector buffer of shape {flat.shape} does not fit ion dims {layout.ion_dims}"
             )
         blocks = [self._matrix] if flat is None else sector_views(flat, n)
-        herm = np.max([_hermiticity_residual(b) for b in blocks])
+        residuals = [_hermiticity_residual(b) for b in blocks]
+        herm = np.max(residuals)
         tr = sum(np.trace(b) for b in blocks)
         if not herm <= HERMITICITY_TOL:
             raise RegisterError(
@@ -353,7 +354,9 @@ class DensityOperator:
             )
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise RegisterError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
-        if all(_clears_floor(hermitize(b.copy())) for b in blocks):
+        # A block with residual 0 is its own Hermitian part, so it is factored as it is.
+        if all(_clears_floor(b.copy() if r == 0 else hermitize(b.copy()))
+               for b, r in zip(blocks, residuals)):
             return
         lo = float(np.min(np.concatenate([np.linalg.eigvalsh(hermitize(b.copy())) for b in blocks])))
         if not lo >= POSITIVITY_FLOOR:

@@ -1109,3 +1109,57 @@ class TestRelabel:
             relabel(blocked, np.zeros(8, dtype=int), np.roll(identity, 1), ones)
         with pytest.raises(RegisterError, match="per basis state of dim 8"):
             relabel(blocked, np.zeros(4, dtype=int), identity, ones)
+
+
+class TestExactlyHermitianValidation:
+    """A block whose Hermiticity residual is exactly 0 is its own Hermitian
+    part: validation factors a plain copy of it and calls ``hermitize`` only
+    for blocks with a nonzero residual."""
+
+    def hermitize_calls(self, monkeypatch, layout, mat):
+        calls = []
+        monkeypatch.setattr(
+            register_module, "hermitize", lambda m: calls.append(m.shape) or hermitize(m)
+        )
+        try:
+            rho = DensityOperator(layout, mat)
+        finally:
+            monkeypatch.undo()
+        return rho, calls
+
+    @pytest.mark.parametrize("form", ["blocked", "dense"])
+    def test_exactly_hermitian_state_is_not_hermitized(self, monkeypatch, form):
+        rng = np.random.default_rng(43)
+        if form == "blocked":
+            layout, mat = qubit_register(5), sector_diagonal_state(rng, 5, 0.0)
+        else:
+            layout = system_with_ancilla(3)
+            mat = dense_state(rng, layout.dim, 0.0)
+        mat = hermitize(mat)
+        assert register_module._hermiticity_residual(mat) == 0
+        rho, calls = self.hermitize_calls(monkeypatch, layout, mat)
+        assert (rho.sectors is None) == (form == "dense")
+        assert calls == []
+
+    def test_only_blocks_with_a_residual_are_hermitized(self, monkeypatch):
+        layout = qubit_register(4)
+        mat = hermitize(sector_diagonal_state(np.random.default_rng(47), 4, 0.0))
+        i, j = _sector_indices(4)[2][:2]
+        mat[i, j] += 1e-14  # within the tolerance, in the 6 x 6 block of sector 2
+        rho, calls = self.hermitize_calls(monkeypatch, layout, mat)
+        assert rho.sectors is not None
+        assert calls == [(6, 6)]
+
+    @pytest.mark.parametrize("offset", [1e-10, -1e-10, 1e-11, -1e-11])
+    @pytest.mark.parametrize("register", ["qubits", "qutrit-ancilla"])
+    def test_floor_decision_of_exactly_hermitian_states(self, offset, register):
+        rng = np.random.default_rng(53)
+        if register == "qubits":
+            layout = qubit_register(6)
+            mat = sector_diagonal_state(rng, 6, -1e-8 + offset)
+        else:
+            layout = system_with_ancilla(4)
+            mat = dense_state(rng, layout.dim, -1e-8 + offset)
+        mat = hermitize(mat)
+        assert register_module._hermiticity_residual(mat) == 0
+        assert accepts(layout, mat) == reference_accepts(mat) == (offset > 0)
