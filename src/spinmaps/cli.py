@@ -23,7 +23,7 @@ from functools import partial
 from itertools import permutations
 from math import pi
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -62,12 +62,11 @@ from .register import (
     DensityOperator,
     PureState,
     RegisterError,
-    RegisterLayout,
     basis_bits,
     basis_state,
     qubit_register,
-    sector_rows,
 )
+from .statefile import dump_state, read_state
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -94,10 +93,38 @@ MAX_SCHEDULE_STEPS = 1_000_000
 # at once.  A larger N is a configuration error before anything is allocated.
 MAX_N = 14
 
-# Schedule token -> parser of its argument: none, an optional angle in units
-# of pi (a bare ``U`` takes the config's phi) or a required integer.
-_TOKEN_ARGS = {"SWEEP": None, "U": float, "D": int, "QND": int,
-               "REMOVE": int, "INJECT": int, "STAB": int}
+
+class _TokenArg(NamedTuple):
+    """How a schedule token takes its argument: ``parse`` reads it (``None``
+    for no argument, ``float`` for an optional angle in units of pi, which a
+    bare ``U`` takes from the config's phi, ``int`` for a required integer),
+    ``bounds(config)`` is its allowed closed range and ``error`` the message,
+    formatted with ``kind``, ``arg`` and ``n``, of an argument outside it."""
+
+    parse: Callable[[str], float] | None = None
+    bounds: Callable[[RunConfig], tuple[float, float]] | None = None
+    error: str = "schedule: {kind} {arg} out of range for N={n}"
+
+
+def _spins(config: RunConfig) -> tuple[int, int]:
+    return 0, config.n
+
+
+def _bonds(config: RunConfig) -> tuple[int, int]:
+    return 1, config.n if config.periodic else config.n - 1
+
+
+# Schedule token -> its argument rule; the parser and the range checks read it.
+_TOKEN_ARGS = {
+    "SWEEP": _TokenArg(),
+    "U": _TokenArg(float, lambda config: (0.0, 0.5 + 1e-12),
+                   "schedule: U angle must lie in [0, 0.5] (units of pi)"),
+    "D": _TokenArg(int, _bonds),
+    "QND": _TokenArg(int, _spins),
+    "REMOVE": _TokenArg(int, _spins),
+    "INJECT": _TokenArg(int, _spins),
+    "STAB": _TokenArg(int, _spins),
+}
 
 
 def _tokenize_schedule(text: str) -> list[str]:
@@ -139,7 +166,7 @@ def parse_schedule(text: str) -> tuple[tuple, ...]:
             continue
         if w not in _TOKEN_ARGS:
             raise ConfigError(f"schedule token {pos}: unknown token {w!r}")
-        parse, arg = _TOKEN_ARGS[w], None
+        parse, arg = _TOKEN_ARGS[w].parse, None
         if parse is not None and pos + 1 < len(words):
             with suppress(ValueError):
                 arg = parse(words[pos + 1])
@@ -301,14 +328,12 @@ def _validate_config(config: RunConfig) -> None:
         raise ConfigError("epsilon_diss must lie in [0, 1]")
     if config.epsilon_coh is not None and not 0.0 <= config.epsilon_coh <= 1.0:
         raise ConfigError("epsilon_coh must lie in [0, 1]")
-    limit = config.n if config.periodic else config.n - 1
     for kind, arg in config.schedule:
-        if kind == "D" and not 1 <= arg <= limit:
-            raise ConfigError(f"schedule: D {arg} out of range for N={config.n}")
-        if kind in ("QND", "REMOVE", "INJECT", "STAB") and not 0 <= arg <= config.n:
-            raise ConfigError(f"schedule: {kind} {arg} out of range for N={config.n}")
-        if kind == "U" and arg is not None and not 0.0 <= arg <= 0.5 + 1e-12:
-            raise ConfigError("schedule: U angle must lie in [0, 0.5] (units of pi)")
+        rule = _TOKEN_ARGS[kind]
+        if arg is not None:
+            lo, hi = rule.bounds(config)
+            if not lo <= arg <= hi:
+                raise ConfigError(rule.error.format(kind=kind, arg=arg, n=config.n))
     try:
         initial_state(config)
     except (RegisterError, ConfigError) as exc:
@@ -348,104 +373,11 @@ def initial_state(config: RunConfig) -> DensityOperator:
 # --- state dumps -------------------------------------------------------------
 
 
-# Complex entries per row band of a streamed state dump.
-_DUMP_BAND = 1 << 14
-# Longest JSON spelling of a float magnitude: "2.2250738585072014e-308".
-_FLOAT_TEXT = 23
-
-
-def _entry_slots(entries: int) -> np.ndarray:
-    """Byte slots of ``entries`` dumped entries, one row per float:
-    ``[`` sign text ``, `` for the real part and sign text ``], `` for the
-    imaginary one.  Sign and text are filled in per band, and the NUL bytes
-    of the slots are dropped on writing."""
-    text = 2 + _FLOAT_TEXT
-    slots = np.zeros((entries, 2, text + 3), dtype=np.uint8)
-    slots[:, 0, 0] = ord("[")
-    slots[:, 0, text : text + 2] = np.frombuffer(b", ", np.uint8)
-    slots[:, 1, text:] = np.frombuffer(b"], ", np.uint8)
-    return slots.reshape(2 * entries, text + 3)
-
-
-def _magnitude_texts(mags: np.ndarray) -> np.ndarray:
-    """``(len(mags), _FLOAT_TEXT)`` NUL-padded bytes of each magnitude as
-    ``json.dumps`` spells it, formatted by it in chunks."""
-    texts = np.empty(len(mags), dtype=f"S{_FLOAT_TEXT}")
-    for a in range(0, len(mags), _DUMP_BAND):
-        texts[a : a + _DUMP_BAND] = json.dumps(mags[a : a + _DUMP_BAND].tolist())[1:-1].split(", ")
-    return texts.view(np.uint8).reshape(len(mags), _FLOAT_TEXT)
-
-
-def _ranks(table: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Position of each of ``values`` in the sorted ``table`` that holds them.
-    The values are searched in sorted order, in which ``searchsorted`` starts
-    each search from the previous one (about 2.5x faster on a dump's band)."""
-    order = np.argsort(values)
-    ranks = np.empty(len(values), dtype=np.intp)
-    ranks[order] = np.searchsorted(table, values[order])
-    return ranks
-
-
-def dump_state(rho: DensityOperator, path: Path) -> None:
-    """Write a state as JSON: layout header plus row-major [re, im] entries.
-
-    The bytes are ``json.dumps(payload) + "\\n"`` with ``payload["matrix"]``
-    the list of ``[re, im]`` floats, so every float has its shortest
-    round-trip spelling (``NaN``, ``Infinity`` and ``-Infinity`` too).  Each
-    distinct magnitude of the stored values is spelled once by ``json.dumps``
-    and an entry takes its magnitude's text, with a ``-`` where the sign bit
-    is set (never on ``NaN``).  The body is streamed in row bands; a blocked
-    state's bands are scattered from its blocks, so it never builds the
-    dense matrix.
-    """
-    layout = {"ion_dims": list(rho.layout.ion_dims), "ancilla_index": rho.layout.ancilla_index}
-    head, tail = json.dumps({"layout": layout, "matrix": []}).rsplit("[]", 1)
-    d = rho.layout.dim
-    sectors = getattr(rho, "sectors", None)
-    if sectors is None:
-        stored = np.ascontiguousarray(rho.matrix, dtype=complex)
-
-        def rows(a: int, b: int) -> np.ndarray:
-            return stored[a:b]
-
-    else:
-        stored = sectors
-
-        def rows(a: int, b: int) -> np.ndarray:
-            return sector_rows(sectors, rho.layout.n_ions, a, b)
-
-    mags = np.unique(np.abs(stored.view(float)))
-    if sectors is not None and mags[0] != 0.0:
-        mags = np.insert(mags, 0, 0.0)  # the value of every entry outside the blocks
-    texts = _magnitude_texts(mags)
-    band = min(d, max(1, _DUMP_BAND // d))
-    slots = _entry_slots(band * d)
-    with open(path, "wb") as out:
-        out.write(f"{head}[".encode())
-        for a in range(0, d, band):
-            values = rows(a, min(a + band, d)).view(float).reshape(-1)
-            used = slots[: len(values)]
-            used[:, 1] = (np.signbit(values) & ~np.isnan(values)) * ord("-")
-            used[:, 2 : 2 + _FLOAT_TEXT] = texts[_ranks(mags, np.abs(values))]
-            body = used[used != 0]
-            out.write(body if a + band < d else body[:-2])  # no ", " after the last entry
-        out.write(f"]{tail}\n".encode())
-
-
 def load_state(path: Path) -> DensityOperator:
-    """Read a :func:`dump_state` file; any defect in it raises :class:`ConfigError`."""
+    """Read a :func:`dump_state` file with :func:`read_state`; any defect in
+    it raises :class:`ConfigError`."""
     try:
-        payload = json.loads(path.read_text())
-        layout = RegisterLayout(
-            tuple(payload["layout"]["ion_dims"]), payload["layout"]["ancilla_index"]
-        )
-        entries = np.array(
-            [complex(re, im) for re, im in payload["matrix"]], dtype=complex
-        )
-        d = layout.dim
-        if entries.size != d * d:
-            raise ValueError(f"{entries.size} matrix entries for a {d} x {d} state")
-        return DensityOperator(layout, entries.reshape(d, d))
+        return read_state(path)
     except KeyError as exc:
         raise ConfigError(f"state file {path}: missing key {exc}") from None
     except (OSError, TypeError, ValueError, OverflowError, RecursionError) as exc:

@@ -30,7 +30,9 @@ Conventions used throughout the package:
   is stored dense, as its ``d x d`` matrix.  The constructor applies the
   rule, so no producer needs to know it.  :func:`sector_rows` is the one
   scatter of blocks into dense rows: ``DensityOperator.matrix`` takes all of
-  them, a state dump one band at a time.
+  them, a state dump one band at a time.  :func:`rows_to_sectors`, its
+  inverse over the same coordinates, gathers them back: the constructor all
+  rows at once, a state file's reader one band at a time.
 * :func:`apply_sector_superop` is the local apply of the blocked form.  Every
   map of the package conserves total ``S_z``, so its superoperator only
   couples local entries ``|p><q|`` and ``|s><t|`` of equal charge
@@ -221,16 +223,31 @@ def sector_views(flat: np.ndarray, n: int) -> list[np.ndarray]:
     ]
 
 
-def sector_rows(flat: np.ndarray, n: int, start: int, stop: int) -> np.ndarray:
-    """Rows ``start..stop-1`` of the ``2**n x 2**n`` matrix of a flat sector
-    buffer of n qubits, scattered from its blocks; zero outside them.  The rows
-    of sector k in the band are ``idx_k[a:b]``, so they take rows ``a..b-1``
-    of its block."""
-    rows = np.zeros((stop - start, 2**n), dtype=complex)
+def _band_blocks(flat: np.ndarray, n: int, start: int, stop: int):
+    """The coordinates that rows ``start..stop-1`` of the ``2**n x 2**n``
+    matrix share with a flat sector buffer of n qubits: per sector k, the view
+    of rows ``a..b-1`` of its block and the ``np.ix_`` of their entries in the
+    band, where the band's rows of sector k are ``idx_k[a:b]``."""
     for idx, block in zip(_sector_indices(n), sector_views(flat, n)):
         a, b = np.searchsorted(idx, (start, stop))
-        rows[np.ix_(idx[a:b] - start, idx)] = block[a:b]
+        yield block[a:b], np.ix_(idx[a:b] - start, idx)
+
+
+def sector_rows(flat: np.ndarray, n: int, start: int, stop: int) -> np.ndarray:
+    """Rows ``start..stop-1`` of the ``2**n x 2**n`` matrix of a flat sector
+    buffer of n qubits, scattered from its blocks; zero outside them."""
+    rows = np.zeros((stop - start, 2**n), dtype=complex)
+    for part, at in _band_blocks(flat, n, start, stop):
+        rows[at] = part
     return rows
+
+
+def rows_to_sectors(rows: np.ndarray, flat: np.ndarray, n: int, start: int) -> None:
+    """The inverse of :func:`sector_rows`: write the sector-block entries of
+    ``rows``, rows ``start..start+len(rows)-1`` of a ``2**n x 2**n`` matrix,
+    into the flat sector buffer ``flat`` of n qubits."""
+    for part, at in _band_blocks(flat, n, start, start + len(rows)):
+        part[...] = rows[at]
 
 
 def system_with_ancilla(n_system: int, ancilla_dim: int = 3) -> RegisterLayout:
@@ -296,9 +313,11 @@ class DensityOperator:
     A Hermitian block passes when ``block + s 1`` with ``s = 1e-8 - 1e-10``
     has a Cholesky factor, which proves its smallest eigenvalue is above
     -1e-8: the factorization's backward error is far below the 1e-10
-    margin.  The test overwrites each block, so if any fails the blocks are
-    built again and ``eigvalsh`` of every block decides; the error names the
-    smallest eigenvalue over all blocks.  No tolerance depends on the form.
+    margin.  An all-zero block passes without a factorization, since
+    ``s 1`` always has one (a block holding NaN is not all zero).  The test
+    overwrites each block, so if any fails the blocks are built again and
+    ``eigvalsh`` of every block decides; the error names the smallest
+    eigenvalue over all blocks.  No tolerance depends on the form.
     """
 
     __slots__ = ("layout", "_matrix", "sectors")
@@ -354,8 +373,9 @@ class DensityOperator:
             )
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise RegisterError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
-        # A block with residual 0 is its own Hermitian part, so it is factored as it is.
-        if all(_clears_floor(b.copy() if r == 0 else hermitize(b.copy()))
+        # A block with residual 0 is its own Hermitian part, so it is factored as
+        # it is; an all-zero block (no NaN either) plus the shift always factors.
+        if all(not b.any() or _clears_floor(b.copy() if r == 0 else hermitize(b.copy()))
                for b, r in zip(blocks, residuals)):
             return
         lo = float(np.min(np.concatenate([np.linalg.eigvalsh(hermitize(b.copy())) for b in blocks])))
@@ -401,8 +421,7 @@ def _sector_blocks(layout: RegisterLayout, m: np.ndarray) -> np.ndarray | None:
     if nonzero > _sector_offsets(n)[-1]:  # more than the sectors hold
         return None
     flat = sector_buffer(n)
-    for idx, block in zip(_sector_indices(n), sector_views(flat, n)):
-        block[...] = m[np.ix_(idx, idx)]
+    rows_to_sectors(m, flat, n, 0)
     return flat if np.count_nonzero(flat) == nonzero else None
 
 

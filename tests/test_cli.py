@@ -584,6 +584,228 @@ class TestDumpStateBytes:
         assert (tmp_path / "s.json").read_text() == expected
 
 
+import io  # noqa: E402
+import tracemalloc  # noqa: E402
+
+import spinmaps.statefile as statefile  # noqa: E402
+from spinmaps.register import RegisterLayout  # noqa: E402
+
+
+def json_reader(path):
+    """The state a whole-file ``json`` parse of a state file gives: the
+    reference the banded reader is held to."""
+    payload = json.loads(Path(path).read_text())
+    layout = RegisterLayout(tuple(payload["layout"]["ion_dims"]), payload["layout"]["ancilla_index"])
+    entries = np.array([complex(re, im) for re, im in payload["matrix"]], dtype=complex)
+    return DensityOperator(layout, entries.reshape(layout.dim, layout.dim))
+
+
+def parse_matrix(text):
+    """The entries the reader parses from a matrix's text, its ``[`` excluded."""
+    entries = statefile._Entries(None)
+    statefile._read_entries(statefile._StateText(io.StringIO(text)), entries)
+    return np.concatenate(entries.pending) if entries.pending else np.empty(0, dtype=complex)
+
+
+def plant_specials(m):
+    """Write ``-0.0``, ``5e-324`` and a subnormal into row and column 0 of the
+    Hermitian ``m``, whose row 0 is zero off the diagonal, so it stays a state."""
+    m[0, 0] = complex(m[0, 0].real, -0.0)
+    m[0, 1], m[1, 0] = complex(5e-324, -2.5e-310), complex(5e-324, 2.5e-310)
+    if len(m) > 2:
+        m[0, -1], m[-1, 0] = complex(-0.0, -0.0), complex(-0.0, 0.0)
+
+
+def special_dense(rng, n):
+    """A dense state of n qubits with the special floats of :func:`plant_specials`."""
+    d = 2**n
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    v[0] = 0.0
+    v /= np.linalg.norm(v)
+    m = 0.5 * np.eye(d, dtype=complex) / d + 0.5 * np.outer(v, v.conj())
+    plant_specials(m)
+    return DensityOperator(qubit_register(n), m)
+
+
+def special_blocked(rng, n):
+    """A blocked state of n qubits: in each sector block the first basis state
+    only has its diagonal entry, and the special floats are planted there."""
+    flat = sector_buffer(n)
+    for block in sector_views(flat, n):
+        block[0, 0] = rng.uniform(0.5, 1.5)
+        g = rng.standard_normal((len(block) - 1,) * 2) + 1j * rng.standard_normal((len(block) - 1,) * 2)
+        block[1:, 1:] = g @ g.conj().T
+    flat /= sum(np.trace(b) for b in sector_views(flat, n)).real
+    for block in sector_views(flat, n):
+        if len(block) > 1:
+            plant_specials(block)
+        else:
+            block[0, 0] = complex(block[0, 0].real, -0.0)
+    return DensityOperator.from_sectors(qubit_register(n), flat)
+
+
+def same_state(loaded, expected):
+    assert loaded.layout == expected.layout
+    assert (loaded.sectors is None) == (expected.sectors is None)
+    assert loaded.matrix.tobytes() == expected.matrix.tobytes()
+
+
+class TestBandedStateReader:
+    """``load_state`` reads a state file in bands, bit for bit and in the form
+    a whole-file ``json`` parse gives, and rejects what ``json`` rejects."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("form", [special_dense, special_blocked])
+    def test_dumps_round_trip_bitwise_in_todays_form(self, tmp_path, n, form):
+        rho = form(np.random.default_rng(n), n)
+        assert (rho.sectors is None) == (form is special_dense)
+        dump_state(rho, tmp_path / "s.json")
+        loaded = load_state(tmp_path / "s.json")
+        same_state(loaded, rho)
+        same_state(loaded, json_reader(tmp_path / "s.json"))
+
+    @pytest.mark.parametrize("edits", [
+        {(0, 1): [-0.0, 0.0]},  # only a signed zero outside the blocks: blocked
+        {(0, 1): [-0.0, 0.0], (70, 101): [1e-300, 0.0], (101, 70): [1e-300, -0.0]},
+        {(70, 101): [1e-300, 0.0], (101, 70): [1e-300, -0.0]},  # dense from the second band
+    ])
+    def test_entries_outside_the_blocks(self, tmp_path, edits):
+        # Band 0 is rows 0-63 at N = 8, band 1 rows 64-127.  Basis states 0 and 1
+        # are in sectors 0 and 1, 70 and 101 in sectors 3 and 4.
+        rho = special_blocked(np.random.default_rng(5), 8)
+        payload = json.loads(TestDumpStateBytes.comprehension_dump(rho))
+        for (i, j), pair in edits.items():
+            payload["matrix"][256 * i + j] = pair
+        (tmp_path / "s.json").write_text(json.dumps(payload))
+        expected = json_reader(tmp_path / "s.json")
+        assert (expected.sectors is None) == (len(edits) > 1)
+        same_state(load_state(tmp_path / "s.json"), expected)
+
+    @pytest.mark.parametrize("text", [
+        "[0.5, ]]", "[, 0.5]]", "[0.5]]", "[0.5, 0.5, 0.5]]", "[0.5 0.5]]", "[0.5, 0.5],]",
+        "[0.5, 0.5] [0.5, 0.5]]", "[0.5, 0.5], 1]", "1 [0.5, 0.5]]", "[0.5, 0.5]",
+    ])
+    def test_misplaced_numbers_and_marks_are_defects(self, text):
+        # ``np.fromstring`` reads an empty place as -1: "0.5, " gives [0.5, -1]
+        with pytest.raises(ValueError):
+            parse_matrix(text)
+
+    def test_non_finite_numbers_parse_as_json_reads_them(self):
+        text = "[NaN, Infinity], [-Infinity, -0.0], [5e-324, 1E+2]]"
+        expected = np.array([complex(*p) for p in json.loads("[" + text)], dtype=complex)
+        assert parse_matrix(text).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("layout_last", [False, True])
+    @pytest.mark.parametrize("indent", [None, 1])
+    def test_key_order_and_whitespace(self, tmp_path, layout_last, indent):
+        # N = 8 is four dump bands, so a matrix before its layout waits whole
+        for rho in (special_dense(np.random.default_rng(1), 8), special_blocked(np.random.default_rng(2), 8)):
+            payload = json.loads(TestDumpStateBytes.comprehension_dump(rho))
+            if layout_last:
+                payload = {"matrix": payload["matrix"], "layout": payload["layout"]}
+            (tmp_path / "s.json").write_text(json.dumps(payload, indent=indent))
+            same_state(load_state(tmp_path / "s.json"), rho)
+
+    def test_spaces_inside_pairs_and_small_pieces(self, tmp_path, monkeypatch):
+        rho = special_dense(np.random.default_rng(3), 4)
+        dump_state(rho, tmp_path / "s.json")
+        text = (tmp_path / "s.json").read_text()
+        spaced = text.replace("[", "[ \t").replace(", ", " ,\n  ").replace("]", "\r\n ]")
+        (tmp_path / "spaced.json").write_text(spaced)
+        same_state(load_state(tmp_path / "spaced.json"), rho)
+        monkeypatch.setattr(statefile, "_READ_CHARS", 97)  # entries cross every piece
+        same_state(load_state(tmp_path / "spaced.json"), rho)
+        same_state(load_state(tmp_path / "s.json"), rho)
+
+    VALID = json.dumps({"layout": {"ion_dims": [2, 2], "ancilla_index": None},
+                        "matrix": [[0.5, 0.0]] + [[0.0, 0.0]] * 14 + [[0.5, 0.0]]}) + "\n"
+
+    @pytest.mark.parametrize("old, new", [
+        ("[0.0, 0.0], [0.0, 0.0]", "[0.0], [0.0, 0.0]"),  # a pair of 1 number
+        ("[0.0, 0.0], [0.0, 0.0]", "[0.0, 0.0, 0.0], [0.0, 0.0]"),  # of 3 numbers
+        ("[0.5, 0.0]]}", "[0.5, 0.0], ]}"),  # a trailing comma
+        ("[0.0, 0.0], [0.5", "[0.0, 0.0, [0.5"),  # a missing bracket
+        ("[0.0, 0.0], [0.5", "[0.0, 0.0]], [0.5"),  # an extra bracket
+        ("[[0.5", "[0.5"),
+        ("[0.5, 0.0]]}\n", "[0.5, 0.0]"),  # a truncated file
+        ("[0.5, 0.0]]}\n", "[0.5, 0."),
+        ("[0.0, 0.0], [0.5", "[true, 0.0], [0.5"),  # non-number tokens
+        ("[0.0, 0.0], [0.5", '["1.0", 0.0], [0.5'),
+        ("[0.0, 0.0], [0.5", "[0x10, 0.0], [0.5"),
+        ("[0.0, 0.0], [0.5", "[0.0 0.0], [0.5"),
+        ("[0.0, 0.0], [0.5", "[0.0, 0.0] [0.5"),
+        ("[0.0, 0.0], [0.5", "[0.0, 0.0],, [0.5"),
+        ("[0.0, 0.0], [0.5", "[0.0, ], [0.5"),
+        ("[0.5, 0.0]]}", "[0.5, 0.0]] 1}"),
+        ("}\n", "} x\n"),  # text after the object
+        ('"matrix"', '"layout": 1, "matrix"'),  # a repeated key
+    ])
+    def test_defects_exit_2(self, tmp_path, capsys, old, new):
+        assert old in self.VALID
+        (tmp_path / "s.json").write_text(self.VALID)
+        assert load_state(tmp_path / "s.json").layout == qubit_register(2)
+        text = self.VALID.replace(old, new, 1)
+        (tmp_path / "s.json").write_text(text)
+        with pytest.raises(ConfigError, match="state file"):
+            load_state(tmp_path / "s.json")
+        code, err = TestStateFileBoundary().run_with_state(tmp_path, capsys, text, n=2)
+        assert code == 2 and "config error" in err and "state file" in err
+
+    @pytest.mark.parametrize("extra", [1, 20_000])
+    @pytest.mark.parametrize("layout_last", [False, True])
+    def test_extra_entries_name_the_exact_count(self, tmp_path, extra, layout_last):
+        # past d * d entries the reader only counts, whether or not it knows d yet
+        matrix = [[1.0, 0.0]] + [[0.0, 0.0]] * (256 * 256 - 1 + extra)
+        layout = {"ion_dims": [2] * 8, "ancilla_index": None}
+        payload = {"matrix": matrix, "layout": layout} if layout_last else {"layout": layout, "matrix": matrix}
+        (tmp_path / "s.json").write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match=f"{65536 + extra} matrix entries for a 256 x 256 state"):
+            load_state(tmp_path / "s.json")
+
+    def test_non_utf8_file_is_a_defect(self, tmp_path):
+        text = self.VALID.replace('"layout"', '"note": "r\u00e9sum\u00e9", "layout"')
+        (tmp_path / "s.json").write_bytes(text.encode("latin-1"))
+        with pytest.raises(ConfigError, match="utf-8"):
+            load_state(tmp_path / "s.json")
+        (tmp_path / "s.json").write_bytes(text.encode())
+        assert load_state(tmp_path / "s.json").layout == qubit_register(2)
+
+    # ``np.fromstring`` reads each of these as a float; ``json`` reads none.
+    NOT_JSON = ["+1", ".5", "1.", "01", "-01", "1.e5", "nan", "inf", "-NaN", "+Infinity", "infinity", "- 1", "1 .5"]
+
+    @pytest.mark.parametrize("number", NOT_JSON)
+    def test_numbers_json_rejects_are_defects(self, tmp_path, number):
+        with pytest.raises(ValueError):
+            json.loads(f"[{number}]")
+        with pytest.raises(ValueError, match="malformed matrix entry among the 2 from entry 0 on"):
+            parse_matrix(f"[0.5, 0.0], [{number}, 0.0]]")
+        (tmp_path / "s.json").write_text(self.VALID.replace("[0.0, 0.0], [0.5", f"[0.0, {number}], [0.5"))
+        with pytest.raises(ConfigError, match="malformed matrix entry"):
+            load_state(tmp_path / "s.json")
+
+    @staticmethod
+    def traced_peak(build):
+        tracemalloc.start()
+        try:
+            build()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("rho", [
+        basis_state(qubit_register(10), [0, 1] * 5).density(),
+        special_dense(np.random.default_rng(9), 9),
+    ], ids=["blocked-10", "dense-9"])
+    def test_read_peaks_near_the_state(self, tmp_path, rho):
+        dump_state(rho, tmp_path / "s.json")
+        if rho.sectors is not None:
+            built = self.traced_peak(lambda: DensityOperator.from_sectors(rho.layout, rho.sectors.copy()))
+        else:
+            built = self.traced_peak(lambda: DensityOperator(rho.layout, rho.matrix.copy()))
+        read = self.traced_peak(lambda: load_state(tmp_path / "s.json"))
+        assert read <= built + 2 * 2**20
+
+
 class TestDeepRepeatNesting:
     DEEP = "REPEAT 1 { " * 1200 + "SWEEP" + " }" * 1200
 

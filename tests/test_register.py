@@ -599,6 +599,7 @@ class TestSectorFirstValidation:
         expected, blocks = dense_path_validate(layout, mat.copy(), clears=lambda b: True)
         assert recorded == expected
         if blocks is not None:
+            blocks = [b for b in blocks if b.any()]  # an all-zero block is not factored
             assert len(seen) == len(blocks)
             for got, want in zip(seen, blocks):
                 assert got.tobytes() == want.tobytes()
@@ -1163,3 +1164,68 @@ class TestExactlyHermitianValidation:
         mat = hermitize(mat)
         assert register_module._hermiticity_residual(mat) == 0
         assert accepts(layout, mat) == reference_accepts(mat) == (offset > 0)
+
+
+class TestZeroBlocksSkipCholesky:
+    """An all-zero sector block passes validation without a factorization,
+    since ``0 + s 1`` always has one; every decision and message equals the
+    rule that factors every block."""
+
+    @staticmethod
+    def factor_every_block(layout, flat):
+        blocks = sector_views(flat, layout.n_ions)
+        if all(register_module._clears_floor(hermitize(b.copy())) for b in blocks):
+            return None
+        lo = float(np.min(np.concatenate([np.linalg.eigvalsh(hermitize(b.copy())) for b in blocks])))
+        return None if lo >= -1e-8 else f"smallest eigenvalue {lo} below -1e-08"
+
+    @staticmethod
+    def zeroed_blocks_state(rng, n, lowest):
+        """A blocked state with about half its sector blocks zero, whose
+        smallest eigenvalue in the others is ``lowest``."""
+        sizes = [len(idx) for idx in _sector_indices(n)]
+        kept = rng.random(n + 1) < 0.5
+        kept[n // 2] = True  # a block of 2 or more
+        evals = rng.uniform(0.5, 1.5, sum(s for s, k in zip(sizes, kept) if k))
+        low = rng.integers(len(evals))
+        evals[low] = 0.0
+        evals *= (1.0 - lowest) / evals.sum()
+        evals[low] = lowest
+        flat, start = sector_buffer(n), 0
+        for block, keep in zip(sector_views(flat, n), kept):
+            if keep:
+                u = random_unitary(rng, len(block))
+                block[...] = (u * evals[start : start + len(block)]) @ u.conj().T
+                start += len(block)
+        return flat, sum(bool(block.any()) for block in sector_views(flat, n))
+
+    def test_decisions_and_messages_match_and_zero_blocks_are_not_factored(self, monkeypatch):
+        rng = np.random.default_rng(28)
+        factored = []
+
+        def counting_zpotrf(a, **kwargs):
+            factored.append(a.copy())
+            return zpotrf(a, **kwargs)
+
+        outcomes = set()
+        for trial in range(60):
+            n = int(rng.integers(2, 8))
+            lowest = rng.choice([1e-3, 0.0, -1e-8 + 1e-9, -1e-8 - 1e-9, -1e-3])
+            flat, nonzero = self.zeroed_blocks_state(rng, n, lowest)
+            layout = qubit_register(n)
+            expected = self.factor_every_block(layout, flat)
+            factored.clear()
+            monkeypatch.setattr(register_module, "zpotrf", counting_zpotrf)
+            try:
+                DensityOperator.from_sectors(layout, flat.copy())
+                message = None
+            except RegisterError as exc:
+                message = str(exc)
+            monkeypatch.undo()
+            assert message == expected
+            assert len(factored) <= nonzero
+            assert expected is not None or len(factored) == nonzero
+            shift = 1e-8 - 1e-10
+            assert not any(np.array_equal(a, shift * np.eye(len(a))) for a in factored)
+            outcomes.add(expected is None)
+        assert outcomes == {True, False}

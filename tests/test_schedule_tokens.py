@@ -32,7 +32,7 @@ def test_token_form_parses_runs_and_keeps_its_label(text, tokens, labels):
     assert [report.label for report, _ in run_steps(config)] == labels
 
 
-@pytest.mark.parametrize("kind", [k for k, parse in _TOKEN_ARGS.items() if parse is int])
+@pytest.mark.parametrize("kind", [k for k, rule in _TOKEN_ARGS.items() if rule.parse is int])
 def test_integer_argument_is_required(kind):
     with pytest.raises(ConfigError) as err:
         parse_schedule(f"SWEEP {kind}")
