@@ -5,7 +5,10 @@ A file is ``json.dumps(payload) + "\\n"`` with ``payload = {"layout":
 {"ion_dims": [...], "ancilla_index": ...}, "matrix": [[re, im], ...]}``,
 the matrix row-major.  :func:`dump_state` streams it in row bands and
 :func:`read_state` reads it back in one pass; neither holds the whole text,
-and a blocked state never becomes a dense matrix on either side.
+and a blocked state never becomes a dense matrix on either side.  The dump
+spells each float as ``repr`` does, with an exact numpy shortest-repr
+formatter (:func:`_short_texts`) for the magnitudes in ``[1e-28, 1)`` and
+``json.dumps`` for the rest.
 """
 
 from __future__ import annotations
@@ -38,13 +41,149 @@ def _entry_slots(entries: int) -> np.ndarray:
     return slots.reshape(2 * entries, text + 3)
 
 
+# The shortest-repr formatter's range: from ``_SHORT_MIN`` to below 1, so
+# that ``x * 10**(16 - E)`` takes at most two exact powers of ten.
+_SHORT_MIN = 1e-28
+# Distance to a tie, in units of the digit rounded or of the half gap, below
+# which a decision is left to ``json.dumps``.
+_TIE = 1e-9
+# Powers of ten, correctly rounded, and their Dekker halves (exact to 10**22).
+_P10 = np.array([float(10**k) for k in range(45)])
+_P10_HI = _P10 * 134217729.0 - (_P10 * 134217729.0 - _P10)
+_P10_LO = _P10 - _P10_HI
+_P10_INT = 10 ** np.arange(18, dtype=np.int64)
+# The four ASCII digits of each of 0..9999, as the bytes of one ``uint32``
+# (built from 40 kB arrays: larger import-time temporaries raise the peak RSS).
+_DIGITS4 = np.ascontiguousarray(np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + 48).view(np.uint32)[:, 0]
+
+
+def _two_prod(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a * 10**k`` as ``hi + lo`` exactly (Dekker), for ``k <= 22``."""
+    hi = a * _P10[k]
+    c = a * 134217729.0
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    b_hi, b_lo = _P10_HI[k], _P10_LO[k]
+    return hi, ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _digits17(x: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The integer ``D`` nearest to ``y = x * 10**s`` and ``y - D``, for
+    ``y`` below ``2**63``: two exact products when ``s > 22``."""
+    a = np.minimum(s, 22)
+    p, p_lo = _two_prod(x, a)
+    y, y_lo = _two_prod(p, s - a)
+    y_lo += p_lo * _P10[s - a]
+    d_hi = np.rint(y)
+    f = (y - d_hi) + y_lo
+    d_lo = np.rint(f)
+    return d_hi.astype(np.int64) + d_lo.astype(np.int64), f - d_lo
+
+
+def _short_texts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shortest round-trip texts of normal ``x`` in ``[_SHORT_MIN, 1)`` that
+    are not powers of two, as ``repr`` spells them, and a mask of the values
+    whose text is left to ``json.dumps`` because a decision fell near a tie.
+
+    With ``E = floor(log10 x)``, ``y = x * 10**(16 - E)`` is rounded to the
+    17-digit integer ``C`` with remainder ``R = y - C``.  Dropping the last
+    digit rounds ``C`` to the nearest multiple of 10 and carries the digit
+    into ``R``; the shorter text round-trips while ``|R| < H``, the half gap
+    ``2**(e - 1076) * 10**(16 - E)`` of ``x`` (``e`` its biased exponent) in
+    units of the 17th digit.  ``H`` lies in ``[0.55, 11.1]``, so only the
+    17-digit rounding and the first digit dropped can turn on a tie (a
+    later tie leaves both neighbours 50 or more from ``y``), and a digit
+    dropped after the second moves ``R`` by a multiple of 100 or not at
+    all.  Error bound: while the value shortens, the computed ``R`` is
+    within ``2**-45`` of the exact one.  The two products are exact
+    (Dekker); the tail of the second and the sums of ``_digits17`` and of
+    the first two carries round values of at most 11, 19, 20, 10.5 and
+    111, each within ``2**-53`` of itself: 172 * 2**-53 in all.  ``H`` is
+    within ``2**-53`` of itself (a correctly rounded power of ten times an
+    exact power of two).  So every rounding decision more than ``_TIE`` of
+    a digit from its half, and every round-trip decision more than
+    ``_TIE * H >= 5e-10`` from ``H``, is exact; the rest are marked.  The
+    shortest text within the rounding interval is the nearest one of its
+    length, which is the one ``repr`` picks.
+    """
+    n = len(x)
+    e = (x.view(np.int64) >> 52).astype(np.intp)
+    exp10 = np.clip(np.floor(np.log10(x)), -28, -1).astype(np.intp)
+    digits, rem = _digits17(x, 16 - exp10)
+    off = (digits >= _P10_INT[17]).astype(np.intp) - (digits < _P10_INT[16])
+    fix = np.flatnonzero(off)  # log10 was one off, or the rounding carried into an 18th digit
+    exp10[fix] = np.clip(exp10[fix] + off[fix], -28, -1)
+    digits[fix], rem[fix] = _digits17(x[fix], 16 - exp10[fix])
+    half_gap = np.ldexp(_P10[16 - exp10], e - 1076)
+    near = (np.abs(rem) >= 0.5 - _TIE) | (digits < _P10_INT[16]) | (digits >= _P10_INT[17])
+    dropped = np.zeros(n, dtype=np.intp)
+    live = np.flatnonzero(~near)
+    c, r, h = digits[live], rem[live], half_gap[live]
+    for k in range(17):
+        c, m = np.divmod(c, 10)
+        t = r + m * _P10[k]
+        up = t > 5 * _P10[k]
+        c += up
+        r = t - up * _P10[k + 1]
+        gap = np.abs(r) - h
+        tie = np.abs(gap) <= _TIE * h
+        if k == 0:
+            tie |= np.abs(t - 5) <= _TIE
+        near[live[tie]] = True
+        keep = (gap < 0) & ~tie
+        live, c, r, h = live[keep], c[keep], r[keep], h[keep]
+        digits[live], dropped[live] = c, k + 1
+        if not len(live):
+            break
+    digits[near], dropped[near] = _P10_INT[16], 0  # any text: ``json.dumps`` writes over it
+    width = np.searchsorted(_P10_INT, digits, side="right")
+    lead = exp10 + dropped - 17 + width  # exponent of the first digit
+    left = digits * _P10_INT[17 - width]  # the digits, left-aligned to 17
+    words = np.empty((n, 5), dtype=np.uint32)
+    for i, p in enumerate((16, 12, 8, 4, 0)):
+        words[:, i] = _DIGITS4[left // _P10_INT[p] % 10_000]
+    ascii = words.view(np.uint8)[:, 3:]  # "000" and the 17 digits
+    texts = np.zeros((n, _FLOAT_TEXT), dtype=np.uint8)
+    runs = np.flatnonzero(np.diff(lead, prepend=lead[:1] - 1))
+    for a, b in zip(runs, np.r_[runs[1:], n]):
+        zeros = -1 - lead[a]
+        if zeros < 4:  # "0.000ddd"
+            texts[a:b, :2] = (48, 46)
+            texts[a:b, 2 : 2 + zeros] = 48
+            texts[a:b, 2 + zeros : 19 + zeros] = ascii[a:b]
+        else:  # "d.ddde-XX"
+            texts[a:b, 0] = ascii[a:b, 0]
+            texts[a:b, 1] = 46
+            texts[a:b, 2:18] = ascii[a:b, 1:]
+    sci = lead < -4
+    end = np.where(sci, width + (width > 1), 1 - lead + width)
+    texts *= np.arange(_FLOAT_TEXT) < end[:, None]
+    rows = np.flatnonzero(sci)
+    suffix = _DIGITS4[-lead[rows]].view(np.uint8).reshape(-1, 4)  # "00XX"
+    suffix[:, :2] = (101, 45)  # "e-XX"
+    texts[rows[:, None], end[rows, None] + np.arange(4)] = suffix
+    return texts, near
+
+
 def _magnitude_texts(mags: np.ndarray) -> np.ndarray:
     """``(len(mags), _FLOAT_TEXT)`` NUL-padded bytes of each magnitude as
-    ``json.dumps`` spells it, formatted by it in chunks."""
-    texts = np.empty(len(mags), dtype=f"S{_FLOAT_TEXT}")
+    ``json.dumps`` (``float.__repr__``) spells it, in chunks of
+    ``_DUMP_BAND`` values.  :func:`_short_texts` spells the values it
+    covers; ``json.dumps`` spells 0, subnormal, non-finite and exact
+    power-of-two values, those below ``_SHORT_MIN`` or from 1 up, and
+    those :func:`_short_texts` finds near a tie."""
+    texts = np.zeros((len(mags), _FLOAT_TEXT), dtype=np.uint8)
     for a in range(0, len(mags), _DUMP_BAND):
-        texts[a : a + _DUMP_BAND] = json.dumps(mags[a : a + _DUMP_BAND].tolist())[1:-1].split(", ")
-    return texts.view(np.uint8).reshape(len(mags), _FLOAT_TEXT)
+        x = mags[a : a + _DUMP_BAND]
+        short = np.flatnonzero((x >= _SHORT_MIN) & (x < 1.0) & (x.view(np.int64) & ((1 << 52) - 1) != 0))
+        chunk = texts[a : a + _DUMP_BAND]
+        chunk[short], near = _short_texts(x[short])
+        other = np.ones(len(x), dtype=bool)
+        other[short[~near]] = False
+        if other.any():
+            spelled = json.dumps(x[other].tolist())[1:-1].split(", ")
+            chunk[other] = np.array(spelled, dtype=f"S{_FLOAT_TEXT}").view(np.uint8).reshape(-1, _FLOAT_TEXT)
+    return texts
 
 
 def _ranks(table: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -63,11 +202,18 @@ def dump_state(rho: DensityOperator, path: Path) -> None:
     The bytes are ``json.dumps(payload) + "\\n"`` with ``payload["matrix"]``
     the list of ``[re, im]`` floats, so every float has its shortest
     round-trip spelling (``NaN``, ``Infinity`` and ``-Infinity`` too).  Each
-    distinct magnitude of the stored values is spelled once by ``json.dumps``
-    and an entry takes its magnitude's text, with a ``-`` where the sign bit
-    is set (never on ``NaN``).  The body is streamed in row bands; a blocked
-    state's bands are scattered from its blocks, so it never builds the
-    dense matrix.
+    distinct magnitude of the stored values is spelled once, as
+    ``json.dumps`` spells it, by :func:`_magnitude_texts`: a vectorized
+    shortest-repr formatter, which leaves 0, subnormal, non-finite and
+    power-of-two values, values below 1e-28 or from 1 up, and the rare value
+    near a rounding tie to ``json.dumps``.  An entry takes its magnitude's
+    text, with a ``-`` where the sign bit is set (never on ``NaN``).  The
+    body is streamed in row bands; a blocked state's bands are scattered
+    from its blocks, so it never builds the dense matrix.  On a 2-core Xeon
+    a dense random pure state dumps in about 0.8 s at N = 10 (1.6-1.9 s with
+    ``json.dumps`` for every magnitude), and the blocked basis state
+    ``010101010101`` at N = 12, whose only texts are ``0.0`` and ``1.0``,
+    in 2-3 s, as before.
     """
     layout = {"ion_dims": list(rho.layout.ion_dims), "ancilla_index": rho.layout.ancilla_index}
     head, tail = json.dumps({"layout": layout, "matrix": []}).rsplit("[]", 1)

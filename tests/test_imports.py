@@ -1,9 +1,12 @@
-"""Every name a spinmaps module imports is used in that module, and scipy is
-imported only where it is listed."""
+"""Every name a spinmaps module imports is used in that module, scipy is
+imported only where it is listed, and nothing is imported from outside the
+standard library, the listed dependencies and spinmaps."""
 
 from __future__ import annotations
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -91,3 +94,44 @@ def test_detects_module_level_and_lazy_scipy_imports():
         "        from scipy.optimize import minimize\n"
     )
     assert scipy_imports(source) == {(None, "scipy.sparse"), (None, "scipy"), ("fit", "scipy.optimize")}
+
+
+# The packages spinmaps may import besides the standard library and itself:
+# the dependencies in pyproject.toml.  A JSON library that happens to be
+# installed (orjson, say) is not one of them.
+DEPENDENCIES = {"numpy", "scipy"}
+
+
+def imported_packages(source: str) -> set[str]:
+    """The top-level package of every import in ``source``; a relative import
+    is ``spinmaps``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.add("spinmaps" if node.level else node.module.split(".")[0])
+    return found
+
+
+def test_imports_are_stdlib_numpy_scipy_or_spinmaps():
+    allowed = set(sys.stdlib_module_names) | DEPENDENCIES | {"spinmaps"}
+    found = {(path.name, name) for path in SRC.glob("*.py")
+             for name in imported_packages(path.read_text()) - allowed}
+    assert found == set()
+
+
+def test_dependencies_are_the_pyproject_ones():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((SRC.parents[1] / "pyproject.toml").read_text())["project"]
+    assert {re.split(r"[<>=!~ \[]", dep)[0] for dep in project["dependencies"]} == DEPENDENCIES
+
+
+def test_detects_packages_outside_the_dependencies():
+    source = (
+        "import json, orjson.dumps\n"
+        "from . import statefile\n"
+        "def f():\n"
+        "    from ujson import dumps\n"
+    )
+    assert imported_packages(source) == {"json", "orjson", "spinmaps", "ujson"}
