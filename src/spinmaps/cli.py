@@ -33,6 +33,7 @@ from .gateset import (
     PulseSequence,
     SequenceSyntaxError,
     UnitaryModeError,
+    _is_reset,
     min_register_size,
     parse_sequence,
     sequence_channel,
@@ -95,15 +96,22 @@ MAX_N = 14
 
 
 class _TokenArg(NamedTuple):
-    """How a schedule token takes its argument: ``parse`` reads it (``None``
-    for no argument, ``float`` for an optional angle in units of pi, which a
-    bare ``U`` takes from the config's phi, ``int`` for a required integer),
-    ``bounds(config)`` is its allowed closed range and ``error`` the message,
-    formatted with ``kind``, ``arg`` and ``n``, of an argument outside it."""
+    """A schedule token: ``action(rho, arg, config)`` applies it and returns
+    ``(state, success)``, with state ``None`` if nothing is left; ``parse``
+    reads its argument (``None`` for none, ``float`` for an optional angle in
+    units of pi, ``int`` for a required integer) and ``default(config)``
+    stands in for an omitted one; ``bounds(config)`` is its allowed closed
+    range and ``error`` the message, formatted with ``kind``, ``arg`` and
+    ``n``, of an argument outside it.  :data:`_TOKEN_ARGS` is the one
+    declaration of the schedule grammar.  Actions look library names up as
+    they run, so a rebound name (a traced span) is the one called."""
 
+    action: Callable[[DensityOperator, float | None, RunConfig],
+                     tuple[DensityOperator | None, float | None]]
     parse: Callable[[str], float] | None = None
     bounds: Callable[[RunConfig], tuple[float, float]] | None = None
     error: str = "schedule: {kind} {arg} out of range for N={n}"
+    default: Callable[[RunConfig], float] | None = None
 
 
 def _spins(config: RunConfig) -> tuple[int, int]:
@@ -114,16 +122,21 @@ def _bonds(config: RunConfig) -> tuple[int, int]:
     return 1, config.n if config.periodic else config.n - 1
 
 
-# Schedule token -> its argument rule; the parser and the range checks read it.
+# Schedule token -> its action and argument rule; the parser, the range checks
+# and run_steps read it.  STAB is removal then injection, each half validated.
 _TOKEN_ARGS = {
-    "SWEEP": _TokenArg(),
-    "U": _TokenArg(float, lambda config: (0.0, 0.5 + 1e-12),
-                   "schedule: U angle must lie in [0, 0.5] (units of pi)"),
-    "D": _TokenArg(int, _bonds),
-    "QND": _TokenArg(int, _spins),
-    "REMOVE": _TokenArg(int, _spins),
-    "INJECT": _TokenArg(int, _spins),
-    "STAB": _TokenArg(int, _spins),
+    "SWEEP": _TokenArg(lambda rho, _, c: (composite_dissipative_sweep(
+        rho, c.theta * pi, c.epsilon_diss, c.periodic), None)),
+    "U": _TokenArg(lambda rho, phi, c: (apply_hamiltonian_map(
+        rho, phi * pi, c.eps_coh, c.periodic), None), float, lambda c: (0.0, 0.5 + 1e-12),
+        "schedule: U angle must lie in [0, 0.5] (units of pi)", default=lambda c: c.phi),
+    "D": _TokenArg(lambda rho, i, c: (apply_dissipative_map(
+        rho, DissipativeMapSpec(i, c.theta * pi, c.epsilon_diss), c.periodic), None), int, _bonds),
+    "QND": _TokenArg(lambda rho, m, c: postselect(rho, m), int, _spins),
+    "REMOVE": _TokenArg(lambda rho, m, c: (stabilize_system(rho, m, True), None), int, _spins),
+    "INJECT": _TokenArg(lambda rho, m, c: (stabilize_system(rho, m, False), None), int, _spins),
+    "STAB": _TokenArg(lambda rho, m, c: (stabilize_system(
+        stabilize_system(rho, m, True), m, False), None), int, _spins),
 }
 
 
@@ -387,14 +400,6 @@ def load_state(path: Path) -> DensityOperator:
 # --- run ---------------------------------------------------------------------
 
 
-def _token_label(kind: str, arg, config: RunConfig) -> str:
-    if kind == "SWEEP":
-        return "SWEEP"
-    if kind == "U":
-        return f"U {config.phi if arg is None else arg}"
-    return f"{kind} {arg}"
-
-
 def _observe(
     rho: DensityOperator,
     step: int,
@@ -426,35 +431,18 @@ def run_steps(config: RunConfig) -> Iterator[tuple[ObservableReport, DensityOper
     offending step and invariant if a state check fails.
     """
     rho = initial_state(config)
-    theta = config.theta * pi
     for step, (kind, arg) in enumerate(config.schedule, start=1):
-        label = _token_label(kind, arg, config)
-        success: float | None = None
+        token = _TOKEN_ARGS[kind]
+        if arg is None and token.default is not None:
+            arg = token.default(config)
+        label = kind if arg is None else f"{kind} {arg}"
         try:
-            if kind == "SWEEP":
-                rho = composite_dissipative_sweep(
-                    rho, theta, config.epsilon_diss, config.periodic
+            rho_next, success = token.action(rho, arg, config)
+            if rho_next is None:
+                raise InvariantViolation(
+                    f"step {step} ({label}): post-selection left no population"
                 )
-            elif kind == "D":
-                spec = DissipativeMapSpec(arg, theta, config.epsilon_diss)
-                rho = apply_dissipative_map(rho, spec, config.periodic)
-            elif kind == "U":
-                phi = (config.phi if arg is None else arg) * pi
-                rho = apply_hamiltonian_map(rho, phi, config.eps_coh, config.periodic)
-            elif kind == "QND":
-                rho_post, success = postselect(rho, arg)
-                if rho_post is None:
-                    raise InvariantViolation(
-                        f"step {step} ({label}): post-selection left no population"
-                    )
-                rho = rho_post
-            elif kind in ("REMOVE", "INJECT", "STAB"):
-                # STAB is removal then injection; each half's output is validated
-                halves = {"REMOVE": (True,), "INJECT": (False,), "STAB": (True, False)}
-                for removing in halves[kind]:
-                    rho = stabilize_system(rho, arg, removing)
-            else:  # pragma: no cover - parse_schedule rejects unknown tokens
-                raise ConfigError(f"unknown schedule token {kind!r}")
+            rho = rho_next
             report = _observe(rho, step, label, config, success)
         except RegisterError as exc:
             raise InvariantViolation(f"step {step} ({label}): {exc}") from exc
@@ -713,7 +701,7 @@ def verify_sequences(directory: str | Path) -> dict:
             entry["error"] = f"table addresses {n_ions} ions; at most {MAX_TABLE_IONS} are checked"
             entries.append(entry)
             continue
-        resets = sum(p.kind in ("Reset", "Repump") for p in seq.pulses)
+        resets = sum(map(_is_reset, seq.pulses))
         if 2**resets * 4**n_ions > MAX_RESET_TABLE_ENTRIES:
             entry["error"] = (
                 f"table has {resets} resets on {n_ions} ions: its channel holds "

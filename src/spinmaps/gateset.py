@@ -7,6 +7,9 @@ AC-Stark z rotation, and ``MS(theta, phi)`` is the collective
 Moelmer-Soerensen interaction ``exp(-i theta pi/4 * S_phi^2)`` with
 ``theta = 0.5`` the fully entangling gate.  Each gate is given as its
 register unitary; a state takes it by ``apply(unitary_channel(layout, u), rho)``.
+
+``_PULSES`` below is the one declaration of the pulse-table grammar; the
+parser, the serializer, the interpreters and ``PULSE_KINDS`` read it.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import cos, isfinite, pi, sin
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,9 +45,6 @@ class SequenceSyntaxError(ValueError):
 
 class UnitaryModeError(ValueError):
     """A dissipative pulse (RESET/REPUMP) appeared where a unitary is required."""
-
-
-PULSE_KINDS = ("R", "Sz", "MS", "Reset", "Repump")
 
 
 @dataclass(frozen=True)
@@ -154,16 +155,16 @@ def pauli_exp(rho: DensityOperator, string: PauliString, angle: float) -> Densit
     return apply(unitary_channel(rho.layout, u), rho)
 
 
-_PULSE_RE = re.compile(
-    r"^(?P<kind>R|S_z|MS|RESET|REPUMP)\s*\(\s*(?P<args>[^()]*)\)$"
-)
-
-
 def _parse_number(text: str, line_no: int) -> float:
     try:
-        return float(text)
+        angle = float(text)
     except ValueError:
         raise SequenceSyntaxError(line_no, f"bad angle {text!r}") from None
+    # Above 2**52 ``angle * pi`` no longer resolves a radian; below it no
+    # product the interpreter forms overflows.  ``<=`` is false for nan.
+    if not abs(angle) <= 2.0**52:
+        raise SequenceSyntaxError(line_no, f"angle {text!r} must be finite, at most 2**52 in size")
+    return angle
 
 
 def _parse_ion(text: str, line_no: int) -> int:
@@ -174,6 +175,31 @@ def _parse_ion(text: str, line_no: int) -> int:
     if ion < 0:
         raise SequenceSyntaxError(line_no, f"negative ion index {ion}")
     return ion
+
+
+class _PulseForm(NamedTuple):
+    kind: str  # the Pulse kind
+    args: tuple[str, ...]  # argument names, in table order
+    unitary: Callable | None  # (layout, pulse, mask) -> register unitary; None for a reset
+
+
+# Table spelling -> its form: the one declaration of the pulse-table grammar.
+_PULSES = {
+    "R": _PulseForm("R", ("theta", "phi"),
+                    lambda layout, p, mask: rotation_unitary(layout, p.theta, p.phi, mask)),
+    "S_z": _PulseForm("Sz", ("theta", "ion"), lambda layout, p, mask: sz_unitary(layout, p.theta, p.ion)),
+    "MS": _PulseForm("MS", ("theta", "phi"),
+                     lambda layout, p, mask: ms_unitary(layout, p.theta, p.phi, mask)),
+    "RESET": _PulseForm("Reset", ("ion",), None),
+    "REPUMP": _PulseForm("Repump", ("ion",), None),
+}
+_SPELLING = {form.kind: spelling for spelling, form in _PULSES.items()}
+PULSE_KINDS = tuple(_SPELLING)
+
+# Argument name -> (parser of its text, writer of its value).
+_ARGS = {"theta": (_parse_number, repr), "phi": (_parse_number, repr), "ion": (_parse_ion, str)}
+
+_PULSE_RE = re.compile(rf"^(?P<spelling>{'|'.join(_PULSES)})\s*\(\s*(?P<args>[^()]*)\)$")
 
 
 def parse_sequence(text: str) -> PulseSequence:
@@ -190,24 +216,13 @@ def parse_sequence(text: str) -> PulseSequence:
         m = _PULSE_RE.match(line)
         if m is None:
             raise SequenceSyntaxError(line_no, f"unrecognized pulse {line!r}")
-        kind = m.group("kind")
+        spelling = m.group("spelling")
+        form = _PULSES[spelling]
         args = [a.strip() for a in m.group("args").split(",")] if m.group("args").strip() else []
-        if kind in ("R", "MS"):
-            if len(args) != 2:
-                raise SequenceSyntaxError(line_no, f"{kind} takes (theta, phi)")
-            pulses.append(
-                Pulse(kind, _parse_number(args[0], line_no), phi=_parse_number(args[1], line_no))
-            )
-        elif kind == "S_z":
-            if len(args) != 2:
-                raise SequenceSyntaxError(line_no, "S_z takes (theta, ion)")
-            pulses.append(
-                Pulse("Sz", _parse_number(args[0], line_no), ion=_parse_ion(args[1], line_no))
-            )
-        else:  # RESET / REPUMP
-            if len(args) != 1:
-                raise SequenceSyntaxError(line_no, f"{kind} takes (ion)")
-            pulses.append(Pulse(kind.capitalize(), ion=_parse_ion(args[0], line_no)))
+        if len(args) != len(form.args):
+            raise SequenceSyntaxError(line_no, f"{spelling} takes ({', '.join(form.args)})")
+        values = {name: _ARGS[name][0](a, line_no) for name, a in zip(form.args, args)}
+        pulses.append(Pulse(form.kind, **values))
     return PulseSequence(tuple(pulses))
 
 
@@ -215,14 +230,9 @@ def serialize_sequence(seq: PulseSequence) -> str:
     """Inverse of :func:`parse_sequence`, one pulse per line."""
     lines = []
     for p in seq.pulses:
-        if p.kind == "R":
-            lines.append(f"R({p.theta!r}, {p.phi!r})")
-        elif p.kind == "MS":
-            lines.append(f"MS({p.theta!r}, {p.phi!r})")
-        elif p.kind == "Sz":
-            lines.append(f"S_z({p.theta!r}, {p.ion})")
-        else:
-            lines.append(f"{p.kind.upper()}({p.ion})")
+        spelling = _SPELLING[p.kind]
+        args = ", ".join(_ARGS[name][1](getattr(p, name)) for name in _PULSES[spelling].args)
+        lines.append(f"{spelling}({args})")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -233,14 +243,16 @@ def min_register_size(seq: PulseSequence) -> int:
     return max(2, top)
 
 
+def _is_reset(pulse: Pulse) -> bool:
+    """Whether ``pulse`` is incoherent: its form has no unitary."""
+    return _PULSES[_SPELLING[pulse.kind]].unitary is None
+
+
 def _pulse_unitary(pulse: Pulse, layout: RegisterLayout, mask: frozenset[int] | None) -> np.ndarray:
-    if pulse.kind == "R":
-        return rotation_unitary(layout, pulse.theta, pulse.phi, mask)
-    if pulse.kind == "MS":
-        return ms_unitary(layout, pulse.theta, pulse.phi, mask)
-    if pulse.kind == "Sz":
-        return sz_unitary(layout, pulse.theta, pulse.ion)
-    raise UnitaryModeError(f"{pulse.kind} pulse has no unitary representation")
+    build = _PULSES[_SPELLING[pulse.kind]].unitary
+    if build is None:
+        raise UnitaryModeError(f"{pulse.kind} pulse has no unitary representation")
+    return build(layout, pulse, mask)
 
 
 def sequence_unitary(seq: PulseSequence, layout: RegisterLayout) -> np.ndarray:
@@ -263,7 +275,7 @@ def sequence_channel(seq: PulseSequence, layout: RegisterLayout) -> Channel:
     """
     channel = unitary_channel(layout, np.eye(layout.dim))
     for pulse in seq.pulses:
-        if pulse.kind in ("Reset", "Repump"):
+        if _is_reset(pulse):
             stage = reset_channel(layout, pulse.ion, target_level=1)
         else:
             stage = unitary_channel(layout, _pulse_unitary(pulse, layout, seq.active_mask))

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -160,16 +161,12 @@ def _cascade_sites(n: int, m0: int, removing: bool) -> list[int]:
     return sites
 
 
-_PATHS: dict[tuple[int, int, bool], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
+@lru_cache(maxsize=None)
 def _kraus_paths(n: int, m0: int, removing: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(path, target, phase)`` of a half-round for every register basis state
     ``|a, s>`` (index ``a * 2**n + s``): it goes to ``phase |1, target>`` along
     the Kraus path numbered ``path``, the base-3 digits of the ancilla level
     at each park and at the pump.  Cached per ``(n, m0, removing)``, read-only."""
-    if (n, m0, removing) in _PATHS:
-        return _PATHS[n, m0, removing]
     if not 0 <= m0 <= n:
         raise RegisterError(f"m0 {m0} out of range for N={n}")
     d = 2**n
@@ -193,7 +190,7 @@ def _kraus_paths(n: int, m0: int, removing: bool) -> tuple[np.ndarray, np.ndarra
     paths = (path, bits @ (1 << np.arange(n - 1, -1, -1)), phase)
     for a in paths:
         a.flags.writeable = False
-    return _PATHS.setdefault((n, m0, removing), paths)
+    return paths
 
 
 def _half_round(rho: DensityOperator, m0: int, removing: bool) -> DensityOperator:

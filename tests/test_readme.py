@@ -1,12 +1,13 @@
 """README examples run as written: the library quick tour prints the fidelity
-it promises, and the config-format block is a valid config naming every key."""
+it promises, the config-format block is a valid config naming every key and
+schedule token, and the pulse-table block parses and names every spelling."""
 
 import contextlib
 import io
 import re
 from pathlib import Path
 
-from spinmaps import cli
+from spinmaps import cli, gateset
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -29,3 +30,16 @@ def test_config_format_block_parses_and_names_every_key():
     cli.parse_config_text(block, strict=True)
     named = set(re.findall(r"^(\w+)\s*=", block, re.MULTILINE))
     assert named == set(cli._KEYS)
+
+
+def test_config_format_block_names_every_schedule_token():
+    block = fenced_block("### Config format", "ini")
+    comments = " ".join(line.split("#", 1)[1] for line in block.splitlines() if "#" in line)
+    listed = comments.split("tokens:", 1)[1].split("|")
+    assert {item.split()[0] for item in listed} - {"REPEAT"} == set(cli._TOKEN_ARGS)
+
+
+def test_pulse_table_format_block_parses_and_names_every_spelling():
+    block = fenced_block("### Pulse-table format", "")
+    assert {p.kind for p in gateset.parse_sequence(block).pulses} == set(gateset.PULSE_KINDS)
+    assert set(re.findall(r"^(\w+)\(", block, re.MULTILINE)) == set(gateset._PULSES)
